@@ -121,25 +121,29 @@ fn bench_query_engine(c: &mut Criterion) {
     g.bench_function("hmm20_smoothing_cached", |b| {
         b.iter(|| black_box(engine.prob_many(&queries).unwrap()))
     });
-    // Cold-cache comparison of the sequential vs the parallel batch path
-    // (the fig3 measurement at micro-benchmark granularity). The wide
-    // batch adds the pairwise persistence queries.
+    // Cold-cache comparison of the per-event tree walk vs the batch path
+    // (memo probes, then the misses in one arena pass — the fig3
+    // measurement at micro-benchmark granularity). The wide batch adds
+    // the pairwise persistence queries.
     let wide: Vec<Event> = {
         let mut b = queries.clone();
         b.extend(hmm::pairwise_queries(n));
         b
     };
-    g.bench_function("hmm20_wide_cold_sequential", |b| {
+    g.bench_function("hmm20_wide_cold_tree_walk", |b| {
+        b.iter(|| {
+            engine.clear_caches();
+            black_box(
+                wide.iter()
+                    .map(|e| engine.logprob(e).unwrap())
+                    .collect::<Vec<f64>>(),
+            )
+        })
+    });
+    g.bench_function("hmm20_wide_cold_batch", |b| {
         b.iter(|| {
             engine.clear_caches();
             black_box(engine.logprob_many(&wide).unwrap())
-        })
-    });
-    let pool = sppl_core::Pool::new(4);
-    g.bench_function("hmm20_wide_cold_parallel4", |b| {
-        b.iter(|| {
-            engine.clear_caches();
-            black_box(engine.par_logprob_many_in(&pool, &wide).unwrap())
         })
     });
     g.finish();

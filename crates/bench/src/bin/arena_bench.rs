@@ -2,25 +2,28 @@
 //! the Fig. 3 hierarchical-HMM smoothing posterior and the Fig. 8
 //! rare-event chain network. Each workload compiles the session's model
 //! into an [`ArenaModel`](sppl_core::ArenaModel) and answers the same
-//! cold batch through both paths; the answers must be bit-identical
-//! (that is the arena's contract, enforced here with `bits_match`), and
-//! the table reports per-event latency plus the arena's speedup over
-//! the cold sequential and cold parallel tree walks.
+//! cold batch through the per-event tree walk ([`Spe::logprob`] on the
+//! canonical event, a fresh memo per event), through the arena, and
+//! through the session's cold `logprob_many` (memo probes, then the
+//! misses on the arena). The answers must be bit-identical (that is the
+//! arena's contract, enforced here with `bits_match`), and the table
+//! reports per-event latency plus the arena's speedup over the tree
+//! walk.
 //!
 //! Flags:
 //!
 //! * `--test` — smoke mode: smaller horizon / shorter chain (CI).
 //! * `--json` — additionally write machine-readable results to
 //!   `BENCH_arena.json` in the working directory.
-//! * `--threads N` — thread count for the parallel tree-walk baseline
-//!   (default: `SPPL_THREADS` or the machine's available parallelism).
+//!
+//! [`Spe::logprob`]: sppl_core::Spe::logprob
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sppl_bench::args::BenchArgs;
 use sppl_bench::json::JsonObject;
 use sppl_bench::{bits_match, fmt_secs, timed, Table};
-use sppl_core::{Event, Model, Pool};
+use sppl_core::{Event, Model};
 use sppl_models::{hmm, rare_event};
 
 /// Measurements for one workload, all over the same cold batch.
@@ -30,8 +33,8 @@ struct Run {
     nodes: usize,
     compile_s: f64,
     tree_cold_s: f64,
-    par_cold_s: f64,
     arena_s: f64,
+    batch_cold_s: f64,
 }
 
 impl Run {
@@ -40,31 +43,32 @@ impl Run {
     }
 }
 
-/// Answers `batch` through the cold tree walker (sequential and
-/// parallel) and through a freshly compiled arena, asserting bit
-/// parity between all three.
-fn measure(name: &'static str, model: &Model, batch: &[Event], pool: &Pool) -> Run {
-    // Touch every code path once, then measure from cold caches; the
-    // arena takes no caches at all, so its pass is always "cold".
-    model.logprob_many(batch).expect("warmup");
-    model.clear_caches();
-    let (tree, tree_cold_s) = timed(|| model.logprob_many(batch).expect("tree batch"));
-    model.clear_caches();
-    let (par, par_cold_s) = timed(|| {
-        model
-            .par_logprob_many_in(pool, batch)
-            .expect("parallel tree batch")
-    });
-    assert!(
-        bits_match(&tree, &par),
-        "parallel walk must be bit-identical"
-    );
+/// Answers `batch` through the per-event tree walk, through a freshly
+/// compiled arena, and through the session's cold batch path, asserting
+/// bit parity between all three.
+fn measure(name: &'static str, model: &Model, batch: &[Event]) -> Run {
+    // The tree walk gets a fresh memo per event, so every pass is cold;
+    // the arena takes no caches at all.
+    let tree_walk = || -> Vec<f64> {
+        batch
+            .iter()
+            .map(|e| model.root().logprob(&e.canonical()).expect("tree walk"))
+            .collect()
+    };
+    tree_walk(); // touch every code path once
+    let (tree, tree_cold_s) = timed(tree_walk);
 
     let (arena, compile_s) = timed(|| model.compile_arena());
     let (fast, arena_s) = timed(|| arena.logprob_many(batch).expect("arena batch"));
     assert!(
         bits_match(&tree, &fast),
         "{name}: arena must answer bit-identically to the tree walker"
+    );
+    model.clear_caches();
+    let (session, batch_cold_s) = timed(|| model.logprob_many(batch).expect("session batch"));
+    assert!(
+        bits_match(&tree, &session),
+        "{name}: the session batch must answer bit-identically to the tree walker"
     );
 
     Run {
@@ -73,14 +77,13 @@ fn measure(name: &'static str, model: &Model, batch: &[Event], pool: &Pool) -> R
         nodes: arena.node_count(),
         compile_s,
         tree_cold_s,
-        par_cold_s,
         arena_s,
+        batch_cold_s,
     }
 }
 
 fn main() {
     let args = BenchArgs::parse();
-    let pool = args.pool();
 
     // Fig. 3 workload: the smoothing + pairwise-persistence batch
     // against the HMM posterior (conditioning returns a Model, so the
@@ -97,7 +100,7 @@ fn main() {
         b.extend(hmm::pairwise_queries(n));
         b
     };
-    let fig3 = measure("fig3_hmm_posterior", &posterior, &batch, &pool);
+    let fig3 = measure("fig3_hmm_posterior", &posterior, &batch);
 
     // Fig. 8 workload: every prefix probability P[O[0..k] all 1] on the
     // chain network, through the prior model itself.
@@ -106,7 +109,7 @@ fn main() {
         .session()
         .expect("compiles");
     let prefixes: Vec<Event> = (1..=chain_len).map(rare_event::all_ones_event).collect();
-    let fig8 = measure("fig8_chain", &chain, &prefixes, &pool);
+    let fig8 = measure("fig8_chain", &chain, &prefixes);
 
     let mut table = Table::new([
         "Workload",
@@ -114,8 +117,8 @@ fn main() {
         "Nodes",
         "Compile",
         "Tree cold",
-        "Par cold",
         "Arena",
+        "Batch cold",
         "ns/event (tree)",
         "ns/event (arena)",
         "Speedup",
@@ -127,8 +130,8 @@ fn main() {
             run.nodes.to_string(),
             fmt_secs(run.compile_s),
             fmt_secs(run.tree_cold_s),
-            fmt_secs(run.par_cold_s),
             fmt_secs(run.arena_s),
+            fmt_secs(run.batch_cold_s),
             format!("{:.0}", run.per_event_ns(run.tree_cold_s)),
             format!("{:.0}", run.per_event_ns(run.arena_s)),
             format!("{:.2}x", run.tree_cold_s / run.arena_s),
@@ -136,16 +139,11 @@ fn main() {
     }
     println!("arena evaluator vs cold tree walker (bit-identical answers asserted)\n");
     table.print();
-    println!(
-        "\nparallel tree walk used {} threads; the arena pass is single-threaded",
-        pool.thread_count()
-    );
 
     if args.json {
         let mut json = JsonObject::new()
             .str("bench", "arena")
             .str("mode", args.mode())
-            .int("threads", pool.thread_count() as u64)
             .bool("bits_identical", true);
         for run in [&fig3, &fig8] {
             let k = run.name;
@@ -154,8 +152,8 @@ fn main() {
                 .int(&format!("{k}_nodes"), run.nodes as u64)
                 .num(&format!("{k}_compile_s"), run.compile_s)
                 .num(&format!("{k}_tree_cold_s"), run.tree_cold_s)
-                .num(&format!("{k}_par_cold_s"), run.par_cold_s)
                 .num(&format!("{k}_arena_s"), run.arena_s)
+                .num(&format!("{k}_batch_cold_s"), run.batch_cold_s)
                 .num(
                     &format!("{k}_tree_ns_per_event"),
                     run.per_event_ns(run.tree_cold_s),

@@ -1,17 +1,15 @@
 //! Fig. 3: hierarchical HMM smoothing and the linear growth of the
 //! optimized sum-product expression, plus the memoized-session speedup on
-//! repeated smoothing passes and the parallel-batch speedup of
-//! `par_logprob_many` over the sequential path — all through the
-//! session-first [`Model`](sppl_core::Model) API (conditioning returns a
-//! queryable posterior model).
+//! repeated smoothing passes and the speedup of the cold `logprob_many`
+//! batch over the per-event tree walk — all through the session-first
+//! [`Model`](sppl_core::Model) API (conditioning returns a queryable
+//! posterior model).
 //!
 //! Flags:
 //!
 //! * `--test` — smoke mode: smaller horizon and fewer passes (CI).
 //! * `--json` — additionally write machine-readable results to
 //!   `BENCH_fig3.json` in the working directory.
-//! * `--threads N` — thread count for the parallel batch (default:
-//!   `SPPL_THREADS` or the machine's available parallelism).
 //! * `--cache-snapshot PATH` — load a `SharedCache` snapshot from `PATH`
 //!   when it exists and save one on exit: run twice with the same path
 //!   and the second *process* answers every shared-cache query without
@@ -122,49 +120,46 @@ fn main() {
         posterior.factory().prob_cache_stats().entries,
     );
 
-    // Parallel batch inference: the smoothing marginals plus the pairwise
-    // persistence queries, answered cold by the sequential path and cold
-    // again by `par_logprob_many` over a scoped pool. Evaluations over
-    // the immutable posterior DAG are independent, so the batch is
-    // embarrassingly parallel; results must agree bit for bit.
+    // Cold batch inference: the smoothing marginals plus the pairwise
+    // persistence queries, answered per event by the memoized tree walk
+    // and then by `logprob_many` (memo probes, then the misses in one
+    // pass over the arena-compiled posterior). Results must agree bit
+    // for bit.
     let batch: Vec<Event> = {
         let mut b = queries.clone();
         b.extend(hmm::pairwise_queries(n));
         b
     };
-    let pool = args.pool();
-    posterior.logprob_many(&batch).expect("warmup"); // touch every code path once
+    posterior.logprob_many(&batch).expect("warmup"); // compiles the arena, touches every path
     posterior.clear_caches();
-    let (seq_cold, seq_cold_t) =
-        timed(|| posterior.logprob_many(&batch).expect("sequential batch"));
-    posterior.clear_caches();
-    let (par_cold, par_cold_t) = timed(|| {
-        posterior
-            .par_logprob_many_in(&pool, &batch)
-            .expect("parallel batch")
+    let (seq_cold, seq_cold_t) = timed(|| {
+        batch
+            .iter()
+            .map(|e| posterior.logprob(e).expect("tree walk"))
+            .collect::<Vec<f64>>()
     });
-    let results_match = bits_match(&seq_cold, &par_cold);
-    assert!(results_match, "parallel batch must be bit-identical");
-    let par_speedup = seq_cold_t / par_cold_t;
+    posterior.clear_caches();
+    let (batch_cold, batch_cold_t) = timed(|| posterior.logprob_many(&batch).expect("batch"));
+    let results_match = bits_match(&seq_cold, &batch_cold);
+    assert!(
+        results_match,
+        "batch must be bit-identical to the per-event tree walk"
+    );
+    let batch_speedup = seq_cold_t / batch_cold_t;
     println!(
-        "\n{}-event batch, cold caches: sequential {} vs parallel {} on {} threads — {:.2}x",
+        "\n{}-event batch, cold caches: per-event tree walk {} vs logprob_many {} — {:.2}x",
         batch.len(),
         fmt_secs(seq_cold_t),
-        fmt_secs(par_cold_t),
-        pool.thread_count(),
-        par_speedup,
+        fmt_secs(batch_cold_t),
+        batch_speedup,
     );
 
-    // Warm parallel pass: everything is engine-cache hits.
-    let (_, par_warm_t) = timed(|| {
-        posterior
-            .par_logprob_many_in(&pool, &batch)
-            .expect("warm batch")
-    });
+    // Warm pass: everything is engine-cache hits.
+    let (_, warm_t) = timed(|| posterior.logprob_many(&batch).expect("warm batch"));
     let final_stats = posterior.stats();
     println!(
-        "warm parallel repeat: {} (engine hit rate now {:.0}%)",
-        fmt_secs(par_warm_t),
+        "warm repeat: {} (engine hit rate now {:.0}%)",
+        fmt_secs(warm_t),
         final_stats.hit_rate() * 100.0,
     );
 
@@ -267,18 +262,17 @@ fn main() {
             .int("steps", n as u64)
             .int("passes", passes as u64)
             .int("batch_size", batch.len() as u64)
-            .int("threads", u64::from(pool.thread_count()))
             .num("translate_s", translate_t)
             .num("constrain_s", constrain_t)
             .num("uncached_passes_s", uncached_t)
             .num("cached_passes_s", cached_t)
             .num("cached_speedup", uncached_t / cached_t)
             .num("seq_cold_s", seq_cold_t)
-            .num("par_cold_s", par_cold_t)
-            .num("par_speedup", par_speedup)
-            .num("par_warm_s", par_warm_t)
+            .num("batch_cold_s", batch_cold_t)
+            .num("batch_speedup", batch_speedup)
+            .num("warm_s", warm_t)
             .num("engine_hit_rate", final_stats.hit_rate())
-            .bool("par_matches_seq_bitwise", results_match)
+            .bool("batch_matches_tree_bitwise", results_match)
             .int("shared_hits", shared.hits)
             .int("shared_misses", shared.misses)
             .int("shared_entries", shared.entries as u64)

@@ -8,8 +8,6 @@
 //!   (CI).
 //! * `--json` — additionally write machine-readable results to
 //!   `BENCH_fig8.json` in the working directory.
-//! * `--threads N` — thread count for the parallel batch (default:
-//!   `SPPL_THREADS` or the machine's available parallelism).
 //! * `--cache-snapshot PATH` — load a `SharedCache` snapshot from `PATH`
 //!   when it exists and save one on exit (warm restart across
 //!   processes; pure hits asserted when a snapshot was loaded).
@@ -44,26 +42,31 @@ fn main() {
 
     // Batched exact answers through the session — every prefix
     // probability P[O[0..k] all 1] for k = 1..=chain_len: cold (first
-    // pass, populating the cache), cold again through the parallel path,
-    // then warm (repeat of the same batch).
+    // pass, compiling the arena and populating the cache), against the
+    // per-event tree walk, then warm (repeat of the same batch).
     let events: Vec<Event> = (1..=chain_len).map(rare_event::all_ones_event).collect();
     let (cold, cold_t) = timed(|| model.logprob_many(&events).expect("exact"));
-    let pool = args.pool();
     model.clear_caches();
-    let (par_cold, par_cold_t) =
-        timed(|| model.par_logprob_many_in(&pool, &events).expect("exact"));
-    let results_match = bits_match(&cold, &par_cold);
-    assert!(results_match, "parallel batch must be bit-identical");
+    let (tree, tree_t) = timed(|| {
+        events
+            .iter()
+            .map(|e| model.logprob(e).expect("exact"))
+            .collect::<Vec<f64>>()
+    });
+    let results_match = bits_match(&cold, &tree);
+    assert!(
+        results_match,
+        "batch must be bit-identical to the per-event tree walk"
+    );
     let (warm, warm_t) = timed(|| model.logprob_many(&events).expect("exact"));
     assert_eq!(cold, warm, "warm batch must be bit-identical");
     let stats = model.stats();
     println!(
-        "batched exact answers over {} prefixes: cold {} vs parallel-cold {} ({} threads) \
+        "batched exact answers over {} prefixes: cold {} vs per-event tree walk {} \
          vs warm {} ({} hits / {} misses / {} entries)\n",
         events.len(),
         fmt_secs(cold_t),
-        fmt_secs(par_cold_t),
-        pool.thread_count(),
+        fmt_secs(tree_t),
         fmt_secs(warm_t),
         stats.hits,
         stats.misses,
@@ -172,14 +175,13 @@ fn main() {
             .str("mode", args.mode())
             .int("chain_len", chain_len as u64)
             .int("batch_size", events.len() as u64)
-            .int("threads", u64::from(pool.thread_count()))
             .num("translate_s", translate_t)
-            .num("seq_cold_s", cold_t)
-            .num("par_cold_s", par_cold_t)
-            .num("par_speedup", cold_t / par_cold_t)
+            .num("seq_cold_s", tree_t)
+            .num("batch_cold_s", cold_t)
+            .num("batch_speedup", tree_t / cold_t)
             .num("warm_s", warm_t)
             .num("engine_hit_rate", stats.hit_rate())
-            .bool("par_matches_seq_bitwise", results_match)
+            .bool("batch_matches_tree_bitwise", results_match)
             .int("shared_hits", shared.hits)
             .int("shared_misses", shared.misses)
             .int("shared_entries", shared.entries as u64)

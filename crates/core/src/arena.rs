@@ -52,9 +52,9 @@
 //! let arena = model.compile_arena();
 //! let batch = vec![var("X").le(0.0), var("X").gt(1.0)];
 //! let fast = arena.logprob_many(&batch).unwrap();
-//! let slow = model.logprob_many(&batch).unwrap();
-//! assert_eq!(fast[0].to_bits(), slow[0].to_bits());
-//! assert_eq!(fast[1].to_bits(), slow[1].to_bits());
+//! for (event, fast) in batch.iter().zip(&fast) {
+//!     assert_eq!(fast.to_bits(), model.logprob(event).unwrap().to_bits());
+//! }
 //! ```
 
 use std::collections::{BTreeSet, HashMap};
@@ -365,8 +365,10 @@ impl ArenaModel {
 
     /// Batched [`logprob`](ArenaModel::logprob): one struct-of-arrays
     /// pass over the arena per chunk of events. Answers (and the error
-    /// on the first failing event) are bit-identical to
-    /// [`Model::logprob_many`](crate::Model::logprob_many).
+    /// on the first failing event) are bit-identical to per-event
+    /// [`Model::logprob`](crate::Model::logprob).
+    /// [`Model::logprob_many`](crate::Model::logprob_many) answers its
+    /// memo misses through this evaluator.
     ///
     /// # Errors
     ///
@@ -384,25 +386,56 @@ impl ArenaModel {
     /// let model = Model::new(f, x);
     /// let batch = vec![var("X").le(0.0), var("X").le(1.0) & var("X").gt(-1.0)];
     /// let fast = model.compile_arena().logprob_many(&batch).unwrap();
-    /// let slow = model.logprob_many(&batch).unwrap();
-    /// assert!(fast.iter().zip(&slow).all(|(a, b)| a.to_bits() == b.to_bits()));
+    /// for (event, fast) in batch.iter().zip(&fast) {
+    ///     assert_eq!(fast.to_bits(), model.logprob(event).unwrap().to_bits());
+    /// }
     /// ```
     pub fn logprob_many(&self, events: &[Event]) -> Result<Vec<f64>, SpplError> {
-        let mut out = Vec::with_capacity(events.len());
+        let (out, status) = self.eval_preps(events.iter().map(|e| self.prepare(e.canonical())));
+        status.map(|()| out)
+    }
+
+    /// Batched evaluation of events that are already
+    /// [canonical](Event::canonical) — the engine canonicalizes once to
+    /// key its memo and hands only the misses over. Returns the answers
+    /// for the events before the first failing one, and that failure.
+    pub(crate) fn logprob_canonical(
+        &self,
+        canonical: Vec<Event>,
+    ) -> (Vec<f64>, Result<(), SpplError>) {
+        self.eval_preps(canonical.into_iter().map(|e| self.prepare(e)))
+    }
+
+    /// Groups prepared events into chunks of about [`LANE_BUDGET`] lanes
+    /// and evaluates each; stops at the first preparation error, after
+    /// answering every event before it.
+    fn eval_preps(
+        &self,
+        preps: impl Iterator<Item = Result<Prep, SpplError>>,
+    ) -> (Vec<f64>, Result<(), SpplError>) {
+        let mut out = Vec::with_capacity(preps.size_hint().0);
         let mut scratch = Scratch::default();
-        let mut at = 0;
-        while at < events.len() {
-            let mut preps = Vec::new();
-            let mut lane_count = 0;
-            while at < events.len() && (preps.is_empty() || lane_count < LANE_BUDGET) {
-                let prep = self.prepare(&events[at])?;
-                lane_count += prep.lanes.len();
-                preps.push(prep);
-                at += 1;
+        let mut chunk = Vec::new();
+        let mut lane_count = 0;
+        for prep in preps {
+            match prep {
+                Ok(prep) => {
+                    lane_count += prep.lanes.len();
+                    chunk.push(prep);
+                    if lane_count >= LANE_BUDGET {
+                        self.eval_chunk(&chunk, &mut scratch, &mut out);
+                        chunk.clear();
+                        lane_count = 0;
+                    }
+                }
+                Err(e) => {
+                    self.eval_chunk(&chunk, &mut scratch, &mut out);
+                    return (out, Err(e));
+                }
             }
-            self.eval_chunk(&preps, &mut scratch, &mut out);
         }
-        Ok(out)
+        self.eval_chunk(&chunk, &mut scratch, &mut out);
+        (out, Ok(()))
     }
 
     /// Batched [`prob`](ArenaModel::prob), bit-identical to
@@ -602,13 +635,12 @@ impl ArenaModel {
     // Evaluation
     // ------------------------------------------------------------------
 
-    /// Canonicalizes and scope-checks one event; solves it into clause
-    /// lanes when the model contains products. Mirrors the tree walker's
-    /// error order exactly: the unknown-variable check (raised by every
+    /// Scope-checks one canonical event; solves it into clause lanes
+    /// when the model contains products. Mirrors the tree walker's error
+    /// order exactly: the unknown-variable check (raised by every
     /// leaf/product on the spine, all of which share the root's scope by
     /// C4) wins over the clause solver's multivariate-literal check.
-    fn prepare(&self, event: &Event) -> Result<Prep, SpplError> {
-        let canonical = event.canonical();
+    fn prepare(&self, canonical: Event) -> Result<Prep, SpplError> {
         for v in canonical.vars() {
             if !self.scope.contains(&v) {
                 return Err(SpplError::UnknownVariable {
@@ -644,6 +676,9 @@ impl ArenaModel {
     /// the spine once per event with its full event and clause-lane
     /// range, pushing the root's value.
     fn eval_chunk(&self, preps: &[Prep], scratch: &mut Scratch, out: &mut Vec<f64>) {
+        if preps.is_empty() {
+            return;
+        }
         let lanes: Vec<&LaneClause> = preps.iter().flat_map(|p| p.lanes.iter()).collect();
         let lc = lanes.len();
 
@@ -919,13 +954,12 @@ mod tests {
 
     #[test]
     fn matches_tree_walker_on_product_batch() {
-        // Parity target is the session surface (`Model`/`QueryEngine`),
-        // which canonicalizes events before evaluation — the arena does
-        // the same, so answers must match bit for bit.
+        // Parity target is the per-event tree walk over the canonical
+        // event (what `Model::logprob` evaluates) — the arena
+        // canonicalizes the same way, so answers must match bit for bit.
         let f = Factory::new();
         let m = mixed_product(&f);
         let arena = ArenaModel::compile(&m);
-        let model = crate::model::Model::new(f, m);
         let batch = vec![
             var("X").le(1.0),
             var("X").le(1.0) & var("L").eq("a"),
@@ -934,8 +968,8 @@ mod tests {
             var("X").le(1.0) | var("X").gt(0.0),
         ];
         let fast = arena.logprob_many(&batch).unwrap();
-        let slow = model.logprob_many(&batch).unwrap();
-        for ((event, fast), slow) in batch.iter().zip(&fast).zip(&slow) {
+        for (event, fast) in batch.iter().zip(&fast) {
+            let slow = m.logprob(&event.canonical()).unwrap();
             assert_eq!(fast.to_bits(), slow.to_bits(), "{event:?}");
         }
     }

@@ -71,9 +71,16 @@ impl Clause {
         Some(Clause { constraints: out })
     }
 
-    /// True when the two clauses denote disjoint regions (Def. D.5).
+    /// True when the two clauses denote disjoint regions (Def. D.5):
+    /// some variable both constrain has disjoint constraints. (Every
+    /// constraint is nonempty, so a variable only one clause constrains
+    /// cannot separate them.)
     pub fn is_disjoint(&self, other: &Clause) -> bool {
-        self.intersect(other).is_none()
+        other.constraints.iter().any(|(var, set)| {
+            self.constraints
+                .get(var)
+                .is_some_and(|mine| mine.is_disjoint(set))
+        })
     }
 
     /// Set difference `self \ other` as a list of pairwise-disjoint
@@ -239,6 +246,26 @@ mod tests {
         assert_eq!(m.constraint(&y()).unwrap(), &iv(0.0, 1.0));
         let c = clause(&[(x(), iv(6.0, 7.0))]);
         assert!(a.is_disjoint(&c));
+    }
+
+    #[test]
+    fn disjointness_agrees_with_intersect() {
+        // Clauses over {X}, {Y}, and {X, Y}, with touching, overlapping,
+        // and separated constraints: only shared variables decide.
+        let sets = [iv(0.0, 1.0), iv(1.0, 2.0), iv(3.0, 4.0)];
+        let mut clauses = Vec::new();
+        for s in &sets {
+            clauses.push(clause(&[(x(), s.clone())]));
+            clauses.push(clause(&[(y(), s.clone())]));
+            for t in &sets {
+                clauses.push(clause(&[(x(), s.clone()), (y(), t.clone())]));
+            }
+        }
+        for a in &clauses {
+            for b in &clauses {
+                assert_eq!(a.is_disjoint(b), a.intersect(b).is_none(), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The memoized query engine: repeated, batched, and parallel inference
-//! over one compiled sum-product expression.
+//! The memoized query engine: repeated and batched inference over one
+//! compiled sum-product expression.
 //!
 //! `prob`/`condition` are already memoized *within* a call over the
 //! deduplicated DAG ([`Factory::logprob`],
@@ -14,8 +14,9 @@
 //!   result;
 //! * structurally equivalent events built in different operand orders hit
 //!   the same entry;
-//! * batched queries ([`QueryEngine::logprob_many`]) share every sub-SPE
-//!   evaluation through the factory's node-level memo;
+//! * batched queries ([`QueryEngine::logprob_many`]) answer memo hits
+//!   first and evaluate only the misses, in one pass over the
+//!   [arena-compiled](ArenaModel) model;
 //! * conditioning chains ([`QueryEngine::condition_chain`]) reuse both the
 //!   factory's per-step memo and an engine-level prefix cache.
 //!
@@ -23,14 +24,9 @@
 //!
 //! The engine (and the factory underneath) is `Send + Sync`: every cache
 //! is a sharded lock map and every counter an atomic, so one engine can be
-//! shared by reference across threads. Per-event evaluations over the
-//! immutable SPE DAG are independent, which makes wide batches
-//! embarrassingly parallel: [`QueryEngine::par_logprob_many`] fans a batch
-//! out over a scoped thread pool (vendored under `crates/vendor/
-//! threadpool`; thread count from `SPPL_THREADS` or the machine's
-//! available parallelism) and returns results bit-identical to the
-//! sequential path — inference is a pure function of the DAG and the
-//! event, so scheduling cannot perturb values.
+//! shared by reference across threads. Inference is a pure function of
+//! the DAG and the event, so concurrent callers see bit-identical
+//! answers whichever of them fills a cache entry first.
 //!
 //! # Invalidation
 //!
@@ -65,7 +61,7 @@
 //! assert_eq!(engine.stats().hits, 1);
 //! ```
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -106,7 +102,7 @@ impl CacheStats {
     }
 }
 
-/// The batch-inference thread count: `SPPL_THREADS` when set to a positive
+/// The [`global_pool`] thread count: `SPPL_THREADS` when set to a positive
 /// integer, otherwise the machine's available parallelism (one when even
 /// that is unknown).
 pub fn default_threads() -> usize {
@@ -121,19 +117,16 @@ pub fn default_threads() -> usize {
         })
 }
 
-/// The process-wide inference pool used by [`QueryEngine::par_logprob_many`]
-/// and friends, sized by [`default_threads`] at first use. Exposed so
-/// benchmarks and servers can submit their own scoped work to the same
-/// workers instead of spawning a second pool.
+/// The process-wide pool used by [`QueryEngine::par_condition`] and the
+/// other parallel symbolic operations, sized by [`default_threads`] at
+/// first use. Exposed so benchmarks and servers can submit their own
+/// scoped work to the same workers instead of spawning a second pool.
 ///
-/// **Do not call the `par_*` engine methods (or open another scope on
-/// this pool) from inside a job running on this pool**: the inner scope
+/// **Do not call the `par_*` methods (or open another scope on this
+/// pool) from inside a job running on this pool**: the inner scope
 /// would block its worker waiting for chunks only the occupied workers
 /// could run — with all workers blocked the process deadlocks (the
-/// vendored pool does not support nested scopes). A server running
-/// request handlers as pool jobs must answer batches with the
-/// sequential API, or dispatch handlers on its own threads and leave
-/// this pool to the engine.
+/// vendored pool does not support nested scopes).
 pub fn global_pool() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(|| Pool::new(default_threads().min(u32::MAX as usize) as u32))
@@ -302,7 +295,8 @@ impl QueryEngine {
 
     /// Natural log of the probability of `event` under the root,
     /// memoized across calls (and across engines, when a shared cache is
-    /// attached).
+    /// attached). A miss is evaluated by the tree walker over the
+    /// factory's node-level memo.
     ///
     /// # Errors
     ///
@@ -312,22 +306,117 @@ impl QueryEngine {
         let generation = self.factory.cache_generation();
         let canonical = event.canonical();
         let key = canonical.fingerprint();
-        if let Some((tag, value)) = self.logprob_cache.get(&key) {
-            if tag == generation {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(value);
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(shared) = &self.shared {
-            if let Some(value) = shared.get(self.model_digest(), key) {
-                // Promote into the engine-local cache so the next lookup
-                // is lock-cheap.
-                self.logprob_cache.insert(key, (generation, value));
-                return Ok(value);
-            }
+        if let Some(value) = self
+            .memo_hit(key, generation)
+            .or_else(|| self.shared_hit(key, generation))
+        {
+            return Ok(value);
         }
         let computed = self.factory.logprob(&self.root, &canonical)?;
+        Ok(self.publish(key, generation, computed))
+    }
+
+    /// The probability of `event`, clamped to `[0, 1]` (see
+    /// [`Spe::prob`] for why the clamp matters near one).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Spe::logprob`].
+    pub fn prob(&self, event: &Event) -> Result<f64, SpplError> {
+        Ok(self.logprob(event)?.exp().clamp(0.0, 1.0))
+    }
+
+    /// Batched [`QueryEngine::logprob`], bit-identical to calling it per
+    /// event. Each event is canonicalized and fingerprinted once and
+    /// answered from the engine memo, from an earlier occurrence in the
+    /// batch, or from the shared cache, with the same hit/miss counts a
+    /// per-event loop records. The remaining misses are evaluated
+    /// together in one pass over the [arena-compiled](Self::compile_arena)
+    /// model — compiled only if there is a miss — and published to both
+    /// caches under the keys `logprob` uses.
+    ///
+    /// # Errors
+    ///
+    /// The first failing event's error, as [`Spe::logprob`] reports it.
+    /// The answers computed before it are still published; the lookups
+    /// of the whole batch have been counted.
+    pub fn logprob_many(&self, events: &[Event]) -> Result<Vec<f64>, SpplError> {
+        self.sync_generation();
+        let generation = self.factory.cache_generation();
+        let mut out = vec![0.0; events.len()];
+        // Misses to evaluate: batch index, key, and canonical event.
+        let (mut miss_at, mut miss_keys, mut miss_events) = (Vec::new(), Vec::new(), Vec::new());
+        // Key → position in the miss list, and the in-batch repeats of
+        // a miss as (batch index, miss position).
+        let mut first_miss: HashMap<Fingerprint, usize> = HashMap::new();
+        let mut repeats = Vec::new();
+        for (i, event) in events.iter().enumerate() {
+            let canonical = event.canonical();
+            let key = canonical.fingerprint();
+            if let Some(value) = self.memo_hit(key, generation) {
+                out[i] = value;
+            } else if let Some(&m) = first_miss.get(&key) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                repeats.push((i, m));
+            } else if let Some(value) = self.shared_hit(key, generation) {
+                out[i] = value;
+            } else {
+                first_miss.insert(key, miss_at.len());
+                miss_at.push(i);
+                miss_keys.push(key);
+                miss_events.push(canonical);
+            }
+        }
+        if !miss_events.is_empty() {
+            let (computed, status) = self.compile_arena().logprob_canonical(miss_events);
+            for ((&i, &key), value) in miss_at.iter().zip(&miss_keys).zip(computed) {
+                out[i] = self.publish(key, generation, value);
+            }
+            status?;
+        }
+        for (i, m) in repeats {
+            out[i] = out[miss_at[m]];
+        }
+        Ok(out)
+    }
+
+    /// Batched [`QueryEngine::prob`] with the same clamping.
+    ///
+    /// # Errors
+    ///
+    /// As [`QueryEngine::logprob_many`].
+    pub fn prob_many(&self, events: &[Event]) -> Result<Vec<f64>, SpplError> {
+        Ok(self
+            .logprob_many(events)?
+            .into_iter()
+            .map(|lp| lp.exp().clamp(0.0, 1.0))
+            .collect())
+    }
+
+    /// The engine memo's entry for `key`, counting an engine hit when it
+    /// is current.
+    fn memo_hit(&self, key: Fingerprint, generation: u64) -> Option<f64> {
+        match self.logprob_cache.get(&key) {
+            Some((tag, value)) if tag == generation => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Some(value)
+            }
+            _ => None,
+        }
+    }
+
+    /// Counts an engine miss, then consults the shared cache; a shared
+    /// hit is promoted into the engine memo so the next lookup is
+    /// lock-cheap.
+    fn shared_hit(&self, key: Fingerprint, generation: u64) -> Option<f64> {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let value = self.shared.as_ref()?.get(self.model_digest(), key)?;
+        self.logprob_cache.insert(key, (generation, value));
+        Some(value)
+    }
+
+    /// Stores a freshly computed answer and returns the value to serve.
+    fn publish(&self, key: Fingerprint, generation: u64, computed: f64) -> f64 {
         // The shared cache is authoritative: serve whatever value is now
         // stored under the key. (Since sum-child order became content-
         // canonical, a racing engine computes identical bits anyway —
@@ -341,105 +430,7 @@ impl QueryEngine {
         // clear_caches raced this evaluation, the tag is already stale and
         // the entry will never be served.
         self.logprob_cache.insert(key, (generation, value));
-        Ok(value)
-    }
-
-    /// The probability of `event`, clamped to `[0, 1]` (see
-    /// [`Spe::prob`] for why the clamp matters near one).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Spe::logprob`].
-    pub fn prob(&self, event: &Event) -> Result<f64, SpplError> {
-        Ok(self.logprob(event)?.exp().clamp(0.0, 1.0))
-    }
-
-    /// Batched [`QueryEngine::logprob`]: evaluates every event, sharing
-    /// sub-SPE results through the factory's node-level memo and
-    /// whole-query results through the engine cache. Fails on the first
-    /// erroring event.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Spe::logprob`].
-    pub fn logprob_many(&self, events: &[Event]) -> Result<Vec<f64>, SpplError> {
-        events.iter().map(|e| self.logprob(e)).collect()
-    }
-
-    /// Batched [`QueryEngine::prob`] with the same clamping.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Spe::logprob`].
-    pub fn prob_many(&self, events: &[Event]) -> Result<Vec<f64>, SpplError> {
-        events.iter().map(|e| self.prob(e)).collect()
-    }
-
-    /// Parallel [`QueryEngine::logprob_many`] over the process-wide
-    /// [`global_pool`]: the batch is chunked across the pool's workers,
-    /// which share this engine's caches concurrently. Results are
-    /// bit-identical to the sequential path (inference is pure; the memo
-    /// tables only ever hand back values the same computation would
-    /// produce). Must not be called from a job already running on the
-    /// global pool — nested scopes deadlock (see [`global_pool`]); use
-    /// [`QueryEngine::logprob_many`] there, or
-    /// [`QueryEngine::par_logprob_many_in`] with a distinct pool.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Spe::logprob`]. Unlike the sequential path,
-    /// all events are evaluated even when one errors; the error returned
-    /// is the earliest-indexed one, matching what `logprob_many` would
-    /// have reported. A worker that *panics* mid-evaluation (an engine
-    /// bug, by definition) is reported as [`SpplError::Internal`] instead
-    /// of resurfacing the panic in the caller; the pool and the engine
-    /// caches remain usable.
-    pub fn par_logprob_many(&self, events: &[Event]) -> Result<Vec<f64>, SpplError> {
-        self.par_logprob_many_in(global_pool(), events)
-    }
-
-    /// [`QueryEngine::par_logprob_many`] on a caller-provided pool (for
-    /// servers owning their own pool, or benchmarks varying thread
-    /// counts).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QueryEngine::par_logprob_many`].
-    pub fn par_logprob_many_in(
-        &self,
-        pool: &Pool,
-        events: &[Event],
-    ) -> Result<Vec<f64>, SpplError> {
-        if pool.thread_count() <= 1 || events.len() < 2 {
-            return self.logprob_many(events);
-        }
-        // More chunks than workers so an expensive event cannot leave the
-        // other workers idle behind one long chunk.
-        let jobs = (pool.thread_count() as usize * 4).min(events.len());
-        let chunk = events.len().div_ceil(jobs);
-        par_eval_chunks(pool, events, chunk, |event| self.logprob(event))
-    }
-
-    /// Parallel [`QueryEngine::prob_many`] with the same clamping.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QueryEngine::par_logprob_many`].
-    pub fn par_prob_many(&self, events: &[Event]) -> Result<Vec<f64>, SpplError> {
-        self.par_prob_many_in(global_pool(), events)
-    }
-
-    /// [`QueryEngine::par_prob_many`] on a caller-provided pool.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QueryEngine::par_logprob_many`].
-    pub fn par_prob_many_in(&self, pool: &Pool, events: &[Event]) -> Result<Vec<f64>, SpplError> {
-        Ok(self
-            .par_logprob_many_in(pool, events)?
-            .into_iter()
-            .map(|lp| lp.exp().clamp(0.0, 1.0))
-            .collect())
+        value
     }
 
     /// Conditions the root on `event` (Thm. 4.1), memoized across calls.
@@ -558,78 +549,6 @@ impl QueryEngine {
     }
 }
 
-/// Fans `items` out over `pool` in `chunk`-sized jobs, evaluating each
-/// with `eval` and preserving input order. The workhorse behind the
-/// `par_*_many` methods.
-///
-/// Error discipline: every item is evaluated even when one errors, and
-/// the earliest-indexed error wins — matching the sequential path. A
-/// panicking job is contained here rather than resurfacing in the caller:
-/// the scope's recorded panic is caught, any slot the panicked worker
-/// never filled becomes [`SpplError::Internal`] carrying the panic
-/// message, and the pool stays usable (its workers catch job panics and
-/// keep running). Without this containment a single panicking evaluation
-/// would abort the whole batch with an opaque payload and leave the
-/// caller unable to distinguish an engine bug from a bad query.
-fn par_eval_chunks<T, F>(
-    pool: &Pool,
-    items: &[T],
-    chunk: usize,
-    eval: F,
-) -> Result<Vec<f64>, SpplError>
-where
-    T: Sync,
-    F: Fn(&T) -> Result<f64, SpplError> + Sync,
-{
-    let mut out: Vec<Option<Result<f64, SpplError>>> = Vec::new();
-    out.resize_with(items.len(), || None);
-    // The JoinGuard inside `scoped` waits for every job even on the
-    // unwind path, so by the time `catch_unwind` returns all borrows of
-    // `out` have ended and the filled slots are safe to read.
-    let panicked = catch_unwind(AssertUnwindSafe(|| {
-        pool.scoped(|scope| {
-            let eval = &eval;
-            for (evs, outs) in items.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                scope.execute(move || {
-                    for (item, slot) in evs.iter().zip(outs.iter_mut()) {
-                        *slot = Some(eval(item));
-                    }
-                });
-            }
-        });
-    }))
-    .err()
-    .map(|payload| {
-        payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string())
-    });
-    let collected: Result<Vec<f64>, SpplError> = {
-        let internal = |slot: Option<Result<f64, SpplError>>| {
-            slot.unwrap_or_else(|| {
-                Err(SpplError::Internal {
-                    message: format!(
-                        "parallel batch worker panicked: {}",
-                        panicked.as_deref().unwrap_or("no panic recorded")
-                    ),
-                })
-            })
-        };
-        out.into_iter().map(internal).collect()
-    };
-    match (collected, panicked) {
-        // A panic with every slot filled would mean the panic escaped the
-        // evaluation loop itself; refuse to return values computed under
-        // a broken scope.
-        (Ok(_), Some(message)) => Err(SpplError::Internal {
-            message: format!("parallel batch scope panicked: {message}"),
-        }),
-        (result, _) => result,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -667,16 +586,20 @@ mod tests {
         assert!(approx_eq(engine.prob(&e).unwrap(), 0.25, 1e-12));
     }
 
+    /// The per-event tree walk over the canonical event, with a fresh
+    /// memo — the oracle the batch path must match bit for bit.
+    fn tree_walk(engine: &QueryEngine, e: &Event) -> Result<f64, SpplError> {
+        engine.root().logprob(&e.canonical())
+    }
+
     #[test]
     fn batched_equals_individual() {
         let engine = engine_xy();
         let events = vec![le("X", 0.0), le("Y", 1.0), le("X", -1.0)];
         let batch = engine.logprob_many(&events).unwrap();
-        let single: Vec<f64> = events
-            .iter()
-            .map(|e| engine.root().logprob(e).unwrap())
-            .collect();
-        assert_eq!(batch, single);
+        for (e, lp) in events.iter().zip(&batch) {
+            assert_eq!(lp.to_bits(), tree_walk(&engine, e).unwrap().to_bits());
+        }
         let probs = engine.prob_many(&events).unwrap();
         for (lp, p) in batch.iter().zip(&probs) {
             assert_eq!(lp.exp().clamp(0.0, 1.0).to_bits(), p.to_bits());
@@ -684,93 +607,54 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batch_is_bit_identical() {
+    fn batch_is_bit_identical_cold_and_warm() {
         let engine = engine_xy();
         let events: Vec<Event> = (0..96)
             .map(|i| le(if i % 2 == 0 { "X" } else { "Y" }, f64::from(i) / 16.0))
             .collect();
-        let seq = engine.logprob_many(&events).unwrap();
+        let cold = engine.logprob_many(&events).unwrap();
+        for (e, lp) in events.iter().zip(&cold) {
+            assert_eq!(lp.to_bits(), tree_walk(&engine, e).unwrap().to_bits());
+        }
+        let warm = engine.logprob_many(&events).unwrap();
         engine.clear_caches();
-        let pool = Pool::new(4);
-        let par = engine.par_logprob_many_in(&pool, &events).unwrap();
-        assert_eq!(seq.len(), par.len());
-        for (s, p) in seq.iter().zip(&par) {
-            assert_eq!(s.to_bits(), p.to_bits());
-        }
-        let par_probs = engine.par_prob_many_in(&pool, &events).unwrap();
-        for (lp, p) in par.iter().zip(&par_probs) {
-            assert_eq!(lp.exp().clamp(0.0, 1.0).to_bits(), p.to_bits());
+        let recomputed = engine.logprob_many(&events).unwrap();
+        for ((c, w), r) in cold.iter().zip(&warm).zip(&recomputed) {
+            assert_eq!(c.to_bits(), w.to_bits());
+            assert_eq!(c.to_bits(), r.to_bits());
         }
     }
 
     #[test]
-    fn worker_panic_becomes_internal_error_and_pool_survives() {
-        let pool = Pool::new(2);
-        let items: Vec<u32> = (0..16).collect();
-        let result = par_eval_chunks(&pool, &items, 2, |&i| {
-            if i == 5 {
-                panic!("evaluator exploded on item {i}");
-            }
-            Ok(f64::from(i))
-        });
-        match result {
-            Err(SpplError::Internal { message }) => {
-                assert!(
-                    message.contains("evaluator exploded"),
-                    "panic message must be preserved, got: {message}"
-                );
-            }
-            other => panic!("expected SpplError::Internal, got {other:?}"),
-        }
-        // The pool is not poisoned: the same pool serves the next batch.
-        let again = par_eval_chunks(&pool, &items, 4, |&i| Ok(f64::from(i) * 2.0)).unwrap();
-        assert_eq!(again.len(), items.len());
-        assert_eq!(again[7], 14.0);
-    }
-
-    #[test]
-    fn earliest_error_beats_later_panic() {
-        // A structured error in an earlier chunk outranks a panic in a
-        // later one, matching the sequential earliest-index discipline.
-        let pool = Pool::new(2);
-        let items: Vec<u32> = (0..8).collect();
-        let result = par_eval_chunks(&pool, &items, 1, |&i| {
-            if i == 7 {
-                panic!("late panic");
-            }
-            if i == 1 {
-                Err(SpplError::Numeric {
-                    message: "early structured error".into(),
-                })
-            } else {
-                Ok(f64::from(i))
-            }
-        });
-        assert!(
-            matches!(result, Err(SpplError::Numeric { .. })),
-            "{result:?}"
-        );
-    }
-
-    #[test]
-    fn parallel_error_matches_sequential() {
+    fn batch_error_matches_per_event() {
         let engine = engine_xy();
         let mut events: Vec<Event> = (0..16).map(|i| le("X", f64::from(i))).collect();
         events.insert(7, le("Nope", 0.0));
-        let seq_err = engine.logprob_many(&events).unwrap_err();
-        let par_err = engine
-            .par_logprob_many_in(&Pool::new(3), &events)
-            .unwrap_err();
-        assert_eq!(seq_err, par_err);
+        let err = engine.logprob_many(&events).unwrap_err();
+        assert_eq!(err, tree_walk(&engine, &events[7]).unwrap_err());
+        assert_eq!(err, engine.logprob(&events[7]).unwrap_err());
+        // The answers before the failing event were published.
+        let before = engine.stats();
+        engine.logprob_many(&events[..7]).unwrap();
+        assert_eq!(engine.stats().hits, before.hits + 7);
     }
 
     #[test]
-    fn parallel_on_single_thread_pool_falls_back() {
+    fn all_hit_or_empty_batch_leaves_arena_uncompiled() {
         let engine = engine_xy();
-        let events = vec![le("X", 0.0), le("Y", 0.5)];
-        let pool = Pool::new(1);
-        let got = engine.par_logprob_many_in(&pool, &events).unwrap();
-        assert_eq!(got, engine.logprob_many(&events).unwrap());
+        assert!(engine.logprob_many(&[]).unwrap().is_empty());
+        let events = vec![le("X", 0.5), le("Y", -0.5)];
+        for e in &events {
+            engine.logprob(e).unwrap();
+        }
+        let hits = engine.logprob_many(&events).unwrap();
+        assert_eq!(engine.stats().hits, 2);
+        assert!(engine.arena.get().is_none(), "no miss, no arena");
+        for (e, lp) in events.iter().zip(&hits) {
+            assert_eq!(lp.to_bits(), tree_walk(&engine, e).unwrap().to_bits());
+        }
+        engine.logprob_many(&[le("X", 2.0)]).unwrap();
+        assert!(engine.arena.get().is_some(), "a miss compiles the arena");
     }
 
     #[test]

@@ -187,9 +187,8 @@ impl Model {
     /// across sessions by content digest, so calling this repeatedly —
     /// or from a digest-equal session — returns the same `Arc`.
     ///
-    /// Use it for wide, mostly-distinct event batches over a fixed
-    /// model; stay on [`Model::logprob`] when queries repeat (the
-    /// engine's memo answers repeats in one hash lookup).
+    /// [`Model::logprob_many`] already evaluates its memo misses here;
+    /// call this directly to evaluate a batch with no memo at all.
     ///
     /// ```
     /// use sppl_core::prelude::*;
@@ -203,15 +202,17 @@ impl Model {
     /// let arena = model.compile_arena();
     /// let batch = vec![var("X").le(0.0), var("X").gt(1.5)];
     /// let fast = arena.logprob_many(&batch).unwrap();
-    /// let slow = model.logprob_many(&batch).unwrap();
-    /// assert!(fast.iter().zip(&slow).all(|(a, b)| a.to_bits() == b.to_bits()));
+    /// for (event, fast) in batch.iter().zip(&fast) {
+    ///     assert_eq!(fast.to_bits(), model.logprob(event).unwrap().to_bits());
+    /// }
     /// ```
     pub fn compile_arena(&self) -> Arc<ArenaModel> {
         self.engine.compile_arena()
     }
 
     /// Natural log of the probability of `event`, memoized across calls
-    /// (and across sessions when a shared cache is attached).
+    /// (and across sessions when a shared cache is attached). A miss is
+    /// evaluated by the tree walker.
     ///
     /// # Errors
     ///
@@ -255,13 +256,15 @@ impl Model {
         self.engine.prob(event)
     }
 
-    /// Batched [`Model::logprob`]: evaluates every event, sharing sub-SPE
-    /// results through the factory's node-level memo. Fails on the first
-    /// erroring event.
+    /// Batched [`Model::logprob`], bit-identical to calling it per
+    /// event: memo and shared-cache hits (and repeats within the batch)
+    /// are answered first, and the misses are evaluated together in one
+    /// pass over the [arena](Model::compile_arena), then memoized. See
+    /// [`QueryEngine::logprob_many`].
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Spe::logprob`].
+    /// The first failing event's error, as [`Spe::logprob`] reports it.
     ///
     /// ```
     /// use sppl_core::prelude::*;
@@ -283,7 +286,7 @@ impl Model {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Spe::logprob`].
+    /// As [`Model::logprob_many`].
     ///
     /// ```
     /// use sppl_core::prelude::*;
@@ -299,113 +302,6 @@ impl Model {
     /// ```
     pub fn prob_many(&self, events: &[Event]) -> Result<Vec<f64>, SpplError> {
         self.engine.prob_many(events)
-    }
-
-    /// Parallel [`Model::logprob_many`] over the process-wide
-    /// [`global_pool`](crate::engine::global_pool), bit-identical to the
-    /// sequential path. Must not be called from a job already running on
-    /// the global pool (see [`QueryEngine::par_logprob_many`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QueryEngine::par_logprob_many`].
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let model = Model::new(f, x);
-    /// let events: Vec<Event> = (0..8).map(|i| var("X").le(f64::from(i))).collect();
-    /// assert_eq!(
-    ///     model.par_logprob_many(&events).unwrap(),
-    ///     model.logprob_many(&events).unwrap(),
-    /// );
-    /// ```
-    pub fn par_logprob_many(&self, events: &[Event]) -> Result<Vec<f64>, SpplError> {
-        self.engine.par_logprob_many(events)
-    }
-
-    /// [`Model::par_logprob_many`] on a caller-provided pool.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QueryEngine::par_logprob_many`].
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let model = Model::new(f, x);
-    /// let pool = Pool::new(2);
-    /// let events = vec![var("X").le(0.0), var("X").le(1.0)];
-    /// assert_eq!(
-    ///     model.par_logprob_many_in(&pool, &events).unwrap(),
-    ///     model.logprob_many(&events).unwrap(),
-    /// );
-    /// ```
-    pub fn par_logprob_many_in(
-        &self,
-        pool: &Pool,
-        events: &[Event],
-    ) -> Result<Vec<f64>, SpplError> {
-        self.engine.par_logprob_many_in(pool, events)
-    }
-
-    /// Parallel [`Model::prob_many`] with the same clamping.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QueryEngine::par_logprob_many`].
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let model = Model::new(f, x);
-    /// let events = vec![var("X").le(0.0), var("X").gt(0.0)];
-    /// let ps = model.par_prob_many(&events).unwrap();
-    /// assert!((ps[0] + ps[1] - 1.0).abs() < 1e-12);
-    /// ```
-    pub fn par_prob_many(&self, events: &[Event]) -> Result<Vec<f64>, SpplError> {
-        self.engine.par_prob_many(events)
-    }
-
-    /// [`Model::par_prob_many`] on a caller-provided pool.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QueryEngine::par_logprob_many`].
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let model = Model::new(f, x);
-    /// let pool = Pool::new(2);
-    /// let events = vec![var("X").le(0.0), var("X").le(1.0)];
-    /// assert_eq!(
-    ///     model.par_prob_many_in(&pool, &events).unwrap(),
-    ///     model.prob_many(&events).unwrap(),
-    /// );
-    /// ```
-    pub fn par_prob_many_in(&self, pool: &Pool, events: &[Event]) -> Result<Vec<f64>, SpplError> {
-        self.engine.par_prob_many_in(pool, events)
     }
 
     /// Conditions the model on a positive-probability `event` (Thm. 4.1)

@@ -124,8 +124,8 @@ impl<'p> ParCtx<'p> {
 /// Evaluates `f` over `items` on the pool's workers and returns the
 /// results **in input order** — the property the callers' join steps
 /// rely on for bit-identical rebuilds. Items are dispatched in
-/// contiguous chunks (about four jobs per worker, like
-/// `par_eval_chunks`) so per-job overhead amortizes over wide inputs. A
+/// contiguous chunks (about four jobs per worker) so per-job overhead
+/// amortizes over wide inputs. A
 /// panicking `f` propagates out of the scope, matching the sequential
 /// walk's behavior; the pool itself survives.
 pub(crate) fn fan_out_ordered<T, R, F>(pool: &Pool, items: &[T], f: F) -> Vec<R>

@@ -291,11 +291,10 @@ impl Default for FactoryOptions {
 /// The factory is `Send + Sync`: the intern table and both memo tables
 /// are sharded `ShardedMap`s, and the statistics/generation counters are
 /// atomics, so one factory can serve interning and memoized inference from
-/// many threads at once ([`QueryEngine::par_logprob_many`] relies on
-/// this).
+/// many threads at once ([`QueryEngine::par_condition`] relies on this).
 ///
-/// [`QueryEngine::par_logprob_many`]:
-///     crate::engine::QueryEngine::par_logprob_many
+/// [`QueryEngine::par_condition`]:
+///     crate::engine::QueryEngine::par_condition
 pub struct Factory {
     options: FactoryOptions,
     intern: ShardedMap<u64, Vec<Spe>>,

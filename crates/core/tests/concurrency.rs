@@ -1,6 +1,6 @@
 //! Concurrency guarantees of the core: `Send + Sync` bounds hold at
-//! compile time, parallel batches agree bit-for-bit with the sequential
-//! path, the intern table keeps its pointer-identity invariant under
+//! compile time, racing batches agree bit-for-bit with the per-event
+//! tree walk, the intern table keeps its pointer-identity invariant under
 //! racing builders, and cache-generation invalidation never serves a
 //! pre-clear entry across a racing `clear_caches`.
 
@@ -85,30 +85,37 @@ fn batch(n: usize) -> Vec<Event> {
 fn par_batch_bit_identical_to_sequential_on_wide_batch() {
     let events = batch(128);
     let eng = engine();
-    let seq = eng.logprob_many(&events).unwrap();
+    let seq: Vec<f64> = events
+        .iter()
+        .map(|e| eng.root().logprob(&e.canonical()).unwrap())
+        .collect();
 
-    // Same compiled model, caches dropped: the parallel run starts cold.
-    // (Bit-identity holds even across *separately built* factories —
-    // sum children are canonically ordered by content digest — but this
-    // test pins the per-instance guarantee under concurrency.)
-    eng.clear_caches();
-    let pool = Pool::new(8);
-    let par = eng.par_logprob_many_in(&pool, &events).unwrap();
-    assert_eq!(seq.len(), par.len());
-    for (i, (s, p)) in seq.iter().zip(&par).enumerate() {
-        assert_eq!(s.to_bits(), p.to_bits(), "event {i} diverged");
-    }
+    // Eight batches race over one cold engine, halves of the batch in
+    // opposite orders so every entry is contended. (Bit-identity holds
+    // even across *separately built* factories — sum children are
+    // canonically ordered by content digest — but this test pins the
+    // per-instance guarantee under concurrency.)
+    let reversed: Vec<Event> = events.iter().rev().cloned().collect();
+    std::thread::scope(|s| {
+        for i in 0..8 {
+            let (eng, events, reversed, seq) = (&eng, &events, &reversed, &seq);
+            s.spawn(move || {
+                let forward = i % 2 == 0;
+                let got = eng
+                    .logprob_many(if forward { events } else { reversed })
+                    .unwrap();
+                for (j, g) in got.iter().enumerate() {
+                    let want = seq[if forward { j } else { seq.len() - 1 - j }];
+                    assert_eq!(g.to_bits(), want.to_bits(), "event {j} diverged");
+                }
+            });
+        }
+    });
 
-    // Re-running the parallel batch is answered from cache, still
-    // bit-identical.
-    let warm = eng.par_logprob_many_in(&pool, &events).unwrap();
+    // Re-running the batch is answered from cache, still bit-identical.
+    let warm = eng.logprob_many(&events).unwrap();
     for (s, w) in seq.iter().zip(&warm) {
         assert_eq!(s.to_bits(), w.to_bits());
-    }
-    // Through the global pool too.
-    let global = eng.par_logprob_many(&events).unwrap();
-    for (s, g) in seq.iter().zip(&global) {
-        assert_eq!(s.to_bits(), g.to_bits());
     }
 }
 
@@ -264,7 +271,7 @@ fn shared_cache_concurrent_engines_stay_consistent() {
             let events = &events;
             let reference = &reference;
             s.spawn(move || {
-                let got = eng.par_logprob_many(events).unwrap();
+                let got = eng.logprob_many(events).unwrap();
                 for (g, r) in got.iter().zip(reference) {
                     assert_eq!(g.to_bits(), r.to_bits());
                 }

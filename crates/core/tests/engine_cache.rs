@@ -1,7 +1,10 @@
 //! Cache invariants of the [`QueryEngine`]: repeated queries are
 //! bit-identical hits, canonicalization folds structurally equivalent
-//! events onto one entry, and invalidation is tied to the factory's
-//! `clear_caches`.
+//! events onto one entry, invalidation is tied to the factory's
+//! `clear_caches`, and a batch counts and fills every cache layer exactly
+//! as the per-event loop does.
+
+use std::sync::Arc;
 
 use sppl_core::prelude::*;
 
@@ -125,4 +128,57 @@ fn batched_stats_account_every_lookup() {
     assert_eq!((s.hits, s.misses, s.entries), (8, 8, 8));
     // The second pass was answered entirely from cache.
     assert!((s.hit_rate() - 0.5).abs() < 1e-12);
+}
+
+/// A session over X ⊗ Y sharing `cache`, with `pre` queried into its own
+/// memo and `shared` queried into the cache by a sibling session only.
+fn primed(cache: &Arc<SharedCache>, pre: &[Event], shared: &[Event]) -> QueryEngine {
+    let sibling = engine().with_shared_cache(Arc::clone(cache));
+    for e in shared {
+        sibling.logprob(e).unwrap();
+    }
+    let engine = engine().with_shared_cache(Arc::clone(cache));
+    for e in pre {
+        engine.logprob(e).unwrap();
+    }
+    engine
+}
+
+#[test]
+fn batch_memo_semantics_match_the_per_event_loop() {
+    let pre = [le("X", 0.1), Event::and(vec![le("X", 0.2), le("Y", 0.3)])];
+    let shared = [le("Y", -0.4), le("X", 1.5)];
+    let fresh = [le("Y", 0.9), Event::and(vec![le("Y", 0.5), le("X", -0.5)])];
+    // Pre-cached, shared-only, and fresh events, each repeated in the
+    // batch — one repeat in a different operand order.
+    let batch = vec![
+        pre[0].clone(),
+        fresh[0].clone(),
+        shared[0].clone(),
+        fresh[0].clone(),
+        pre[1].clone(),
+        fresh[1].clone(),
+        shared[0].clone(),
+        Event::and(vec![le("X", -0.5), le("Y", 0.5)]),
+        shared[1].clone(),
+        pre[0].clone(),
+    ];
+
+    let loop_cache = Arc::new(SharedCache::new(64));
+    let looped = primed(&loop_cache, &pre, &shared);
+    let want: Vec<f64> = batch.iter().map(|e| looped.logprob(e).unwrap()).collect();
+
+    let batch_cache = Arc::new(SharedCache::new(64));
+    let batched = primed(&batch_cache, &pre, &shared);
+    let got = batched.logprob_many(&batch).unwrap();
+
+    for (g, w) in got.iter().zip(&want) {
+        assert_eq!(g.to_bits(), w.to_bits());
+    }
+    assert_eq!(batched.stats(), looped.stats());
+    assert_eq!(batch_cache.stats(), loop_cache.stats());
+    // Hits: 3 on pre-cached events, 3 on repeats of this batch's misses.
+    // Misses: 2 while priming, then 2 shared hits and 2 evaluations.
+    let s = batched.stats();
+    assert_eq!((s.hits, s.misses, s.entries), (3 + 3, 2 + 2 + 2, 6));
 }

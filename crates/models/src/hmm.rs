@@ -137,9 +137,9 @@ pub fn smoothing_queries(n_step: usize) -> Vec<Event> {
 
 /// Pairwise regime-persistence queries `Z[t] = 1 ∧ Z[t+1] = 1` for
 /// `t = 0..n_step-1` — a second, disjoint family of smoothing marginals
-/// used to widen batches for the parallel-inference benchmarks
-/// ([`QueryEngine::par_logprob_many`](sppl_core::engine::QueryEngine::par_logprob_many))
-/// and stress tests.
+/// used to widen batches for the batch-inference benchmarks
+/// ([`Model::logprob_many`](sppl_core::Model::logprob_many)) and stress
+/// tests.
 pub fn pairwise_queries(n_step: usize) -> Vec<Event> {
     (0..n_step.saturating_sub(1))
         .map(|t| Event::and(vec![hidden_state_event(t), hidden_state_event(t + 1)]))

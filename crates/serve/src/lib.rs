@@ -11,9 +11,11 @@
 //!
 //! - [`dispatch`]: request **coalescing** (concurrent identical queries
 //!   dedupe into one evaluation via a singleflight slot map) under
-//!   **batching windows** (queries in a short window merge into one
-//!   `par_logprob_many` batch) — every answer bit-identical to a direct
-//!   [`Model`](sppl_core::Model) call;
+//!   **batching windows** (single queries in a short window merge into
+//!   one [`logprob_many`](sppl_core::Model::logprob_many) batch, whose
+//!   misses run on the arena evaluator) — every answer bit-identical to
+//!   a direct [`Model`](sppl_core::Model) call. A request that carries a
+//!   list of events is already a batch and skips the window;
 //! - [`registry`]: the digest → model map shared by every connection,
 //!   all models attached to one process-wide
 //!   [`SharedCache`](sppl_core::SharedCache);

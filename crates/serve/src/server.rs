@@ -24,7 +24,7 @@ use sppl_core::digest::ModelDigest;
 use sppl_core::{serialize_spe, Model, SharedCache, SpplError};
 
 use crate::dispatch::{Dispatcher, ServeCounters};
-use crate::protocol::{to_assignment, Request, Response, StatsSnapshot, WireError};
+use crate::protocol::{to_assignment, Request, Response, StatsSnapshot, WireError, WireEvent};
 use crate::registry::{scope_names, ModelRegistry};
 use crate::snapshot::SnapshotRotation;
 
@@ -227,16 +227,7 @@ impl ServerState {
                 prob,
             } => {
                 let model = self.model(*model)?;
-                let mut values = Vec::with_capacity(events.len());
-                for wire_event in events {
-                    let event = wire_event.to_event()?;
-                    let value = if *prob {
-                        self.dispatcher.prob(&model, &event)
-                    } else {
-                        self.dispatcher.logprob(&model, &event)
-                    };
-                    values.push(value.map_err(query_error)?);
-                }
+                let values = self.query(&model, events, *prob)?;
                 Ok(Response::Values {
                     values,
                     single: *single,
@@ -285,6 +276,52 @@ impl ServerState {
             }
             Request::Stats => Ok(Response::Stats(self.stats_snapshot())),
         }
+    }
+
+    /// Answers a `logprob`/`prob` request. A single event goes through
+    /// the dispatcher's coalescing and batching windows; a list is
+    /// already a batch and is answered by one [`Model::logprob_many`]
+    /// call. The error is the first one a per-event loop would meet: an
+    /// event that fails to decode only counts once every event before it
+    /// has been answered.
+    fn query(
+        &self,
+        model: &Arc<Model>,
+        events: &[WireEvent],
+        prob: bool,
+    ) -> Result<Vec<f64>, WireError> {
+        if let [wire_event] = events {
+            let event = wire_event.to_event()?;
+            let value = if prob {
+                self.dispatcher.prob(model, &event)
+            } else {
+                self.dispatcher.logprob(model, &event)
+            };
+            return Ok(vec![value.map_err(query_error)?]);
+        }
+        let mut decoded = Vec::with_capacity(events.len());
+        let mut bad = None;
+        for wire_event in events {
+            match wire_event.to_event() {
+                Ok(event) => decoded.push(event),
+                Err(e) => {
+                    bad = Some(e);
+                    break;
+                }
+            }
+        }
+        let values = model.logprob_many(&decoded).map_err(query_error)?;
+        if let Some(e) = bad {
+            return Err(e);
+        }
+        Ok(if prob {
+            values
+                .into_iter()
+                .map(|lp| lp.exp().clamp(0.0, 1.0))
+                .collect()
+        } else {
+            values
+        })
     }
 
     /// Compiles source through the two-tier compile cache and attaches

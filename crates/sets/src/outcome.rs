@@ -201,7 +201,7 @@ impl OutcomeSet {
 
     /// True when the two sets share no outcome.
     pub fn is_disjoint(&self, other: &OutcomeSet) -> bool {
-        self.intersection(other).is_empty()
+        self.reals.is_disjoint(&other.reals) && self.strings.is_disjoint(&other.strings)
     }
 
     /// Splits the set into its "atomic" disjoint pieces: one per real

@@ -147,9 +147,12 @@ impl RealSet {
         self.intersection(&other.complement())
     }
 
-    /// True when the two sets share no element.
+    /// True when the two sets share no element: no pair of their
+    /// intervals meets (nothing is allocated).
     pub fn is_disjoint(&self, other: &RealSet) -> bool {
-        self.intersection(other).is_empty()
+        self.intervals
+            .iter()
+            .all(|a| other.intervals.iter().all(|b| a.intersect(b).is_none()))
     }
 
     pub(crate) fn hash_keys(&self) -> Vec<(u64, u64, bool, bool)> {

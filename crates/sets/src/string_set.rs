@@ -108,9 +108,16 @@ impl StringSet {
         self.intersection(&other.complement())
     }
 
-    /// True when the two sets share no string.
+    /// True when the two sets share no string (decided by membership,
+    /// without building the intersection).
     pub fn is_disjoint(&self, other: &StringSet) -> bool {
-        self.intersection(other).is_empty()
+        use StringSet::*;
+        match (self, other) {
+            (Finite(a), Finite(b)) => a.iter().all(|s| !b.contains(s)),
+            // Two cofinite sets always share all but finitely many strings.
+            (Cofinite(_), Cofinite(_)) => false,
+            (Finite(f), Cofinite(c)) | (Cofinite(c), Finite(f)) => f.is_subset(c),
+        }
     }
 
     /// Iterates over the *named* strings (the finite basis), regardless of

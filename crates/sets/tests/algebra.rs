@@ -36,6 +36,17 @@ fn arb_outcome_set() -> impl Strategy<Value = OutcomeSet> {
         .prop_map(|(r, s)| OutcomeSet::from_reals(r).union(&OutcomeSet::from_strings(s)))
 }
 
+/// Interval unions with integer endpoints in `[0, 6]`: two such sets often
+/// share or touch at an endpoint.
+fn arb_coarse_real_set() -> impl Strategy<Value = RealSet> {
+    let interval =
+        (0i32..6, 0i32..3, any::<bool>(), any::<bool>()).prop_map(|(lo, len, lc, hc)| {
+            let (lo, hi) = (f64::from(lo), f64::from(lo + len));
+            Interval::new(lo, lc, hi, hc).unwrap_or_else(|| Interval::point(lo))
+        });
+    prop::collection::vec(interval, 0..3).prop_map(RealSet::from_intervals)
+}
+
 /// Sample membership probes covering interval endpoints, interiors, and
 /// the string alphabet.
 fn probe_points() -> Vec<f64> {
@@ -151,5 +162,29 @@ proptest! {
             prop_assert!(w[0].hi() <= w[1].lo());
             prop_assert!(!w[0].mergeable(&w[1]));
         }
+    }
+
+    #[test]
+    fn is_disjoint_iff_intersection_is_empty(
+        ra in arb_coarse_real_set(),
+        sa in arb_string_set(),
+        rb in arb_coarse_real_set(),
+        sb in arb_string_set()
+    ) {
+        let a = OutcomeSet::from_reals(ra).union(&OutcomeSet::from_strings(sa));
+        let b = OutcomeSet::from_reals(rb).union(&OutcomeSet::from_strings(sb));
+        // Real parts: interval unions on a coarse grid, so shared and
+        // touching endpoints, open or closed, are common.
+        prop_assert_eq!(
+            a.reals().is_disjoint(b.reals()),
+            a.reals().intersection(b.reals()).is_empty()
+        );
+        // String parts: every finite/cofinite pairing.
+        prop_assert_eq!(
+            a.strs().is_disjoint(b.strs()),
+            a.strs().intersection(b.strs()).is_empty()
+        );
+        prop_assert_eq!(a.is_disjoint(&b), a.intersection(&b).is_empty());
+        prop_assert_eq!(a.is_disjoint(&b), b.is_disjoint(&a));
     }
 }

@@ -16,9 +16,10 @@
 //! * [`Model::prob`](sppl_core::Model::prob) /
 //!   [`logprob`](sppl_core::Model::logprob) — exact probability of any
 //!   event over (possibly transformed) program variables, memoized;
-//!   `*_many` batches share sub-expression evaluations and
-//!   [`par_*_many`](sppl_core::Model::par_logprob_many) fan wide batches
-//!   over a thread pool with bit-identical results,
+//!   [`logprob_many`](sppl_core::Model::logprob_many) answers a batch's
+//!   memo hits first and its misses in one pass over the
+//!   [arena-compiled](sppl_core::Model::compile_arena) model, with
+//!   bit-identical results,
 //! * [`Model::condition`](sppl_core::Model::condition) /
 //!   [`constrain`](sppl_core::Model::constrain) — the full posterior
 //!   given an event (or measure-zero equality observations), as a new

@@ -1,13 +1,19 @@
-//! Differential proptest: the arena evaluator ([`ArenaModel`]) answers
-//! bit-identically (`to_bits` equality) to the session tree walker
-//! ([`Model`]) — on random mixed discrete/continuous models, on random
-//! event batteries (conjunctions, disjunctions, transform literals,
-//! derived variables), on *posteriors* obtained through `condition` and
-//! `condition_chain`, and on the paper's golden Indian-GPA values.
-//! Errors must agree too: same variant, same rendered message.
+//! Differential proptest: the arena evaluator ([`ArenaModel`]) and the
+//! batch path built on it ([`Model::logprob_many`]) answer
+//! bit-identically (`to_bits` equality) to the per-event tree walk
+//! ([`Spe::logprob`] on the canonical event, with a fresh memo) — on
+//! random mixed discrete/continuous models, on random event batteries
+//! (conjunctions, disjunctions, transform literals, derived variables),
+//! on *posteriors* obtained through `condition` and `condition_chain`,
+//! on the paper's golden Indian-GPA values, and on the shapes of the
+//! suite's `query_batch` workload. Errors must agree too: same variant,
+//! same rendered message.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use sppl::core::spe::Env;
+use sppl::models::{hmm, rare_event};
 use sppl::prelude::*;
 
 /// A generated model: a mixture of two products over the same variables
@@ -152,24 +158,63 @@ fn battery(spec: &Spec, t: f64) -> Vec<Event> {
     events
 }
 
+/// The oracle: the tree walker on the canonical event (what the session
+/// evaluates), with a fresh memo per event.
+fn tree_walk(model: &Model, event: &Event) -> Result<f64, SpplError> {
+    model.root().logprob(&event.canonical())
+}
+
 fn assert_bit_parity(model: &Model, events: &[Event]) {
     let arena = model.compile_arena();
     assert_eq!(arena.digest(), model.model_digest());
     let fast = arena.logprob_many(events).expect("battery evaluates");
-    let slow = model.logprob_many(events).expect("battery evaluates");
-    for ((event, fast), slow) in events.iter().zip(&fast).zip(&slow) {
-        assert_eq!(
-            fast.to_bits(),
-            slow.to_bits(),
-            "arena diverged from tree walker on {event:?} (arena {fast}, tree {slow})"
-        );
+    let cold = model.logprob_many(events).expect("battery evaluates");
+    let warm = model.logprob_many(events).expect("battery evaluates");
+    for (i, event) in events.iter().enumerate() {
+        let slow = tree_walk(model, event).expect("battery evaluates");
+        for (path, got) in [
+            ("arena", fast[i]),
+            ("cold batch", cold[i]),
+            ("warm batch", warm[i]),
+        ] {
+            assert_eq!(
+                got.to_bits(),
+                slow.to_bits(),
+                "{path} diverged from tree walker on {event:?} ({got} vs {slow})"
+            );
+        }
     }
     // The probability surface shares the same exp/clamp epilogue.
     let fast_p = arena.prob_many(events).expect("battery evaluates");
-    for (event, fast_p) in events.iter().zip(&fast_p) {
-        let slow_p = model.prob(event).expect("battery evaluates");
+    let batch_p = model.prob_many(events).expect("battery evaluates");
+    for ((event, fast_p), batch_p) in events.iter().zip(&fast_p).zip(&batch_p) {
+        let slow_p = model
+            .root()
+            .prob(&event.canonical())
+            .expect("battery evaluates");
         assert_eq!(fast_p.to_bits(), slow_p.to_bits(), "prob on {event:?}");
+        assert_eq!(
+            batch_p.to_bits(),
+            slow_p.to_bits(),
+            "batch prob on {event:?}"
+        );
     }
+}
+
+/// A failing batch reports the per-event tree walk's first error, through
+/// the arena and through the session's batch path alike.
+fn assert_batch_error_parity(model: &Model, batch: &[Event]) {
+    let first = batch
+        .iter()
+        .find_map(|e| tree_walk(model, e).err())
+        .expect("the batch has a failing event");
+    let fast = model
+        .compile_arena()
+        .logprob_many(batch)
+        .expect_err("arena fails");
+    let session = model.logprob_many(batch).expect_err("batch fails");
+    assert_eq!(format!("{first}"), format!("{fast}"));
+    assert_eq!(format!("{first}"), format!("{session}"));
 }
 
 proptest! {
@@ -220,10 +265,7 @@ proptest! {
             prop_assert_eq!(format!("{tree}"), format!("{fast}"));
         }
         // A failing batch reports the same first error.
-        let batch = vec![var("X").le(t), var("Zzz").le(0.0)];
-        let tree = model.logprob_many(&batch).expect_err("unknown variable");
-        let fast = arena.logprob_many(&batch).expect_err("unknown variable");
-        prop_assert_eq!(format!("{tree}"), format!("{fast}"));
+        assert_batch_error_parity(&model, &[var("X").le(t), var("Zzz").le(0.0)]);
     }
 }
 
@@ -272,4 +314,83 @@ fn paper_golden_values_through_the_arena() {
         .unwrap();
     assert!((p_india - 0.3318).abs() < 1e-3, "got {p_india}");
     assert_bit_parity(&posterior, &queries);
+}
+
+fn id(name: &str, t: usize) -> Transform {
+    Transform::id(Var::indexed(name, t))
+}
+
+/// The shapes of the suite's `query_batch` workload, scaled down: HMM
+/// predictive and smoothing events on a half-observed posterior, chain
+/// prefixes, and an `and` of 6 two-literal `or`s over 12 normals — with
+/// an in-batch repeat, and an unknown variable in mid-batch.
+#[test]
+fn query_batch_shapes_answer_bit_identically() {
+    const STEPS: usize = 16;
+    const OBSERVED: usize = 8;
+    let mut rng = StdRng::seed_from_u64(11);
+    let trace = hmm::simulate_trace(&mut rng, STEPS);
+    let prior = hmm::hierarchical_hmm(STEPS).session().expect("compiles");
+    let posterior = prior
+        .constrain(&hmm::observation_assignment(
+            &trace.x[..OBSERVED],
+            &trace.y[..OBSERVED],
+        ))
+        .expect("positive density");
+    let mut events = Vec::new();
+    for t in OBSERVED..STEPS - 1 {
+        let c = 4.0 + t as f64 * 0.75;
+        events.push(id("X", t).le(c));
+        events.push(id("Z", t).eq(1.0) & id("X", t + 1).gt(c));
+    }
+    for (a, b, c) in [(0, 3, 9), (2, 8, 15), (5, 6, 7), (1, 10, 12)] {
+        events.push(id("Z", a).eq(1.0) & id("Z", b).eq(0.0) & id("Z", c).eq(1.0));
+    }
+    events.push(events[1].clone());
+    events.push(hmm::hidden_state_event(4));
+    events.push(hmm::hidden_state_event(4));
+    assert_bit_parity(&posterior, &events);
+    let mut failing = events.clone();
+    failing.insert(events.len() / 2, id("Q", 0).le(0.0));
+    assert_batch_error_parity(&posterior, &failing);
+
+    const CHAIN: usize = 10;
+    let chain = rare_event::chain_network(CHAIN)
+        .session()
+        .expect("compiles");
+    let mut prefixes: Vec<Event> = (1..=CHAIN).map(rare_event::all_ones_event).collect();
+    for k in 4..=CHAIN {
+        let pattern = (0..k).map(|t| id("O", t).eq(f64::from(u8::from(t % 3 != 1))));
+        prefixes.push(Event::and(pattern.collect()));
+    }
+    prefixes.push(prefixes[3].clone());
+    assert_bit_parity(&chain, &prefixes);
+
+    let f = Factory::new();
+    let normals = (0..12)
+        .map(|i| {
+            let dist = DistReal::new(Cdf::normal(i as f64 * 0.1 - 0.5, 1.0), Interval::all())
+                .expect("positive mass");
+            f.leaf(Var::indexed("N", i), Distribution::Real(dist))
+        })
+        .collect();
+    let root = f.product(normals).expect("disjoint scopes");
+    let wide = Model::new(f, root);
+    let wide_event = |shift: f64| {
+        Event::and(
+            (0..6)
+                .map(|j| {
+                    id("N", 2 * j).le(shift - 0.3 * j as f64)
+                        | id("N", 2 * j + 1).gt(0.2 * j as f64 - shift)
+                })
+                .collect(),
+        )
+    };
+    let wide_batch = vec![
+        wide_event(0.0),
+        wide_event(0.5),
+        wide_event(0.0),
+        wide_event(-0.4),
+    ];
+    assert_bit_parity(&wide, &wide_batch);
 }

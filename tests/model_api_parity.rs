@@ -66,18 +66,20 @@ fn indian_gpa_model_matches_legacy_path_bit_for_bit() {
         );
     }
 
-    // Batched and parallel variants agree with each other and the
-    // single-query path.
+    // Batched variants agree with each other and with the per-event
+    // tree walk over the canonical event (a fresh memo per event).
     let batch = gpa_queries();
     let legacy_many = legacy.logprob_many(&batch).unwrap();
     let model_many = model.logprob_many(&batch).unwrap();
-    let model_par = model.par_logprob_many(&batch).unwrap();
     let model_probs = model.prob_many(&batch).unwrap();
-    let model_par_probs = model.par_prob_many(&batch).unwrap();
-    for i in 0..batch.len() {
-        assert_eq!(legacy_many[i].to_bits(), model_many[i].to_bits());
-        assert_eq!(model_many[i].to_bits(), model_par[i].to_bits());
-        assert_eq!(model_probs[i].to_bits(), model_par_probs[i].to_bits());
+    for (i, q) in batch.iter().enumerate() {
+        let tree = model.root().logprob(&q.canonical()).unwrap();
+        assert_eq!(legacy_many[i].to_bits(), tree.to_bits());
+        assert_eq!(model_many[i].to_bits(), tree.to_bits());
+        assert_eq!(
+            model_probs[i].to_bits(),
+            tree.exp().clamp(0.0, 1.0).to_bits()
+        );
     }
 
     // Posterior parity: legacy condition() hands back a bare Spe; the
@@ -130,14 +132,14 @@ fn hmm_smoothing_matches_legacy_path_bit_for_bit() {
     batch.extend(hmm::pairwise_queries(N));
     let legacy_answers = legacy.logprob_many(&batch).unwrap();
     let model_answers = posterior.logprob_many(&batch).unwrap();
-    let model_par = posterior.par_logprob_many(&batch).unwrap();
-    for i in 0..batch.len() {
+    for (i, q) in batch.iter().enumerate() {
+        let tree = posterior.root().logprob(&q.canonical()).unwrap();
         assert_eq!(
             legacy_answers[i].to_bits(),
-            model_answers[i].to_bits(),
+            tree.to_bits(),
             "smoothing query {i} diverged"
         );
-        assert_eq!(model_answers[i].to_bits(), model_par[i].to_bits());
+        assert_eq!(model_answers[i].to_bits(), tree.to_bits());
     }
 
     // condition_chain parity against the engine's chain on the same

@@ -1,8 +1,8 @@
 //! End-to-end parallel inference stress: the real HMM smoothing workload
 //! (translate → constrain → wide batched queries) run through
-//! `Model::par_logprob_many` across thread counts and through a shared
-//! cross-session cache, asserting exact agreement with the sequential
-//! API.
+//! `Model::logprob_many` from several threads at once and through a
+//! shared cross-session cache, asserting exact agreement with the
+//! per-event tree walk.
 
 use std::sync::Arc;
 
@@ -43,23 +43,32 @@ fn par_smoothing_matches_sequential_across_thread_counts() {
     let posterior = smoothing_model(None);
     let events = wide_batch();
     assert!(events.len() >= 40);
-    let reference = posterior.logprob_many(&events).unwrap();
-    for threads in [2u32, 4, 8] {
+    let reference: Vec<f64> = events
+        .iter()
+        .map(|e| posterior.root().logprob(&e.canonical()).unwrap())
+        .collect();
+    for threads in [2, 4, 8] {
+        // Cold caches, then `threads` racing batches over one session.
         posterior.clear_caches();
-        let pool = Pool::new(threads);
-        let par = posterior.par_logprob_many_in(&pool, &events).unwrap();
-        assert_eq!(par.len(), reference.len());
-        for (i, (p, r)) in par.iter().zip(&reference).enumerate() {
-            assert_eq!(
-                p.to_bits(),
-                r.to_bits(),
-                "event {i} diverged at {threads} threads"
-            );
-        }
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                s.spawn(|| {
+                    let got = posterior.logprob_many(&events).unwrap();
+                    assert_eq!(got.len(), reference.len());
+                    for (i, (g, r)) in got.iter().zip(&reference).enumerate() {
+                        assert_eq!(
+                            g.to_bits(),
+                            r.to_bits(),
+                            "event {i} diverged at {threads} threads"
+                        );
+                    }
+                });
+            }
+        });
     }
-    // Probabilities too, via the global pool.
+    // Probabilities too.
     posterior.clear_caches();
-    let probs = posterior.par_prob_many(&events).unwrap();
+    let probs = posterior.prob_many(&events).unwrap();
     for (p, r) in probs.iter().zip(&reference) {
         assert_eq!(p.to_bits(), r.exp().clamp(0.0, 1.0).to_bits());
     }
@@ -70,7 +79,7 @@ fn shared_cache_serves_second_session_without_reevaluation() {
     let cache = Arc::new(SharedCache::new(4096));
     let session1 = smoothing_model(Some(&cache));
     let events = wide_batch();
-    let reference = session1.par_logprob_many(&events).unwrap();
+    let reference = session1.logprob_many(&events).unwrap();
 
     // A second session over the same model content: the posterior is
     // rebuilt from scratch in its own factory, but every query is served
@@ -78,7 +87,7 @@ fn shared_cache_serves_second_session_without_reevaluation() {
     let session2 = smoothing_model(Some(&cache));
     assert_eq!(session1.model_digest(), session2.model_digest());
     let misses_before = cache.stats().misses;
-    let got = session2.par_logprob_many(&events).unwrap();
+    let got = session2.logprob_many(&events).unwrap();
     for (g, r) in got.iter().zip(&reference) {
         assert_eq!(g.to_bits(), r.to_bits());
     }
