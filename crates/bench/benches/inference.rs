@@ -7,11 +7,10 @@ use std::hint::black_box;
 
 use sppl_core::condition::condition;
 use sppl_core::density::constrain;
-use sppl_core::engine::QueryEngine;
 use sppl_core::event::Event;
 use sppl_core::transform::Transform;
 use sppl_core::var::Var;
-use sppl_core::Factory;
+use sppl_core::{Factory, Model};
 use sppl_models::{fairness, hmm, indian_gpa};
 
 fn bench_translate(c: &mut Criterion) {
@@ -115,9 +114,9 @@ fn bench_query_engine(c: &mut Criterion) {
                 .collect::<Vec<f64>>()
         })
     });
-    // The engine outlives the iterations, so all passes after the first
+    // The session outlives the iterations, so all passes after the first
     // are answered from its cache — the steady state of a query server.
-    let engine = QueryEngine::new(factory, posterior);
+    let engine = Model::new(factory, posterior);
     g.bench_function("hmm20_smoothing_cached", |b| {
         b.iter(|| black_box(engine.prob_many(&queries).unwrap()))
     });

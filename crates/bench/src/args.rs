@@ -6,8 +6,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use sppl_core::engine::default_threads;
-use sppl_core::{Pool, SharedCache};
+use sppl_core::{default_threads, Pool, SharedCache};
 
 /// Flags common to the JSON-emitting bench binaries.
 pub struct BenchArgs {

@@ -1,29 +1,34 @@
-//! Parallel symbolic conditioning vs the sequential walk, on the two
-//! regimes the fan-out targets: a **wide mixture** (many sum children,
-//! one conditioning pass fans out per-child) and a **deep conditioning
-//! chain** over a moderately wide mixture (the chain itself stays
-//! sequential — each posterior feeds the next step — but every step
-//! fans out internally). Answers must be bit-identical across every
-//! thread count (`bits_match` asserted); the speedup column is the only
-//! thing parallelism is allowed to change.
+//! Explicit-pool parallel conditioning (`par_condition_in`) vs the
+//! sequential `condition`, on the two regimes the fan-out targets: a
+//! **wide mixture** (many sum children, one conditioning pass fans out
+//! per-child) and a **deep conditioning chain** over a moderately wide
+//! mixture (the chain itself stays sequential — each posterior feeds the
+//! next step — but every step fans out internally). Answers must be
+//! bit-identical across every thread count (`bits_match` asserted); wall
+//! time is the only thing parallelism is allowed to change.
 //!
-//! Each measurement builds a **fresh factory**: the cond cache would
-//! otherwise answer the second run instantly and time nothing.
+//! Each run builds a **fresh factory**: the cond cache would otherwise
+//! answer the second run instantly and time nothing. Per thread-ladder
+//! rung, sequential and parallel runs alternate (switching which goes
+//! first) for `REPS` repetitions, and each side is reported as median
+//! [min, max]. A rung with more
+//! threads than the machine has cores is marked `core_bound` and gets no
+//! speedup figure: on such a rung the threads time-share cores, so the
+//! ratio says nothing about scaling.
 //!
 //! Flags:
 //!
 //! * `--test` — smoke mode: 200-component mixture, 60-step chain (CI).
-//! * `--json` — additionally write `BENCH_condition.json`.
+//! * `--json` — additionally write `BENCH_condition.json`, recording the
+//!   core count and the commit.
 //! * `--threads N` — top rung of the thread ladder (default:
 //!   `SPPL_THREADS` or the machine's available parallelism); the ladder
 //!   always includes 1 and 2.
 
-use std::sync::Arc;
-
 use sppl_bench::args::BenchArgs;
 use sppl_bench::json::JsonObject;
 use sppl_bench::{bits_match, fmt_secs, timed, Table};
-use sppl_core::{condition, par_condition_in, Event, Factory, Model, Pool, Spe, Transform, Var};
+use sppl_core::{condition, par_condition_in, Event, Factory, Pool, Spe, Transform, Var};
 use sppl_dists::{Cdf, DistReal, Distribution};
 use sppl_sets::Interval;
 
@@ -99,79 +104,103 @@ fn chain_events(depth: usize) -> Vec<Event> {
         .collect()
 }
 
-struct Run {
-    seq_s: f64,
-    /// `(threads, seconds)` per ladder rung.
-    par_s: Vec<(u32, f64)>,
-    bits: bool,
+/// Sequential and parallel runs alternated per ladder rung.
+const REPS: usize = 5;
+
+/// Conditions `m` on each event in turn — sequentially without a pool,
+/// else through `par_condition_in` — and returns the final posterior.
+fn condition_all(f: &Factory, m: &Spe, events: &[Event], pool: Option<&Pool>) -> Spe {
+    events.iter().fold(m.clone(), |post, e| {
+        match pool {
+            Some(pool) => par_condition_in(f, &post, e, pool),
+            None => condition(f, &post, e),
+        }
+        .expect("conditions")
+    })
 }
 
-impl Run {
-    fn speedup_at_max(&self) -> f64 {
-        self.seq_s / self.par_s.last().expect("ladder non-empty").1
+/// One timed run in a fresh factory: builds a `width`-component mixture,
+/// conditions it on `events` (timed), and returns the probe answers.
+fn run(width: usize, events: &[Event], pool: Option<&Pool>) -> (Vec<f64>, f64) {
+    let f = Factory::new();
+    let m = wide_mixture(&f, width);
+    let (post, s) = timed(|| condition_all(&f, &m, events, pool));
+    (probe_answers(&f, &post), s)
+}
+
+/// Median, min and max of a sample.
+fn summary(xs: &[f64]) -> (f64, f64, f64) {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    (v[v.len() / 2], v[0], v[v.len() - 1])
+}
+
+/// One thread-ladder rung: alternated sequential/parallel wall times.
+struct Rung {
+    threads: u32,
+    seq_s: Vec<f64>,
+    par_s: Vec<f64>,
+    /// More threads than available cores: no speedup is reported.
+    core_bound: bool,
+}
+
+impl Rung {
+    /// Median sequential over median parallel time, unless core-bound.
+    fn speedup(&self) -> Option<f64> {
+        (!self.core_bound).then(|| summary(&self.seq_s).0 / summary(&self.par_s).0)
     }
 }
 
-/// Conditions a fresh `components`-wide mixture once sequentially and
-/// once per ladder rung, asserting bit-identical posterior answers.
-fn measure_mixture(components: usize, ladder: &[u32]) -> Run {
-    let reference = {
-        let f = Factory::new();
-        let m = wide_mixture(&f, components);
-        let (post, seq_s) = timed(|| condition(&f, &m, &evidence()).expect("conditions"));
-        (probe_answers(&f, &post), seq_s)
-    };
-    let mut par_s = Vec::new();
-    let mut bits = true;
-    for &threads in ladder {
-        let pool = Pool::new(threads);
-        let f = Factory::new();
-        let m = wide_mixture(&f, components);
-        let (post, s) = timed(|| par_condition_in(&f, &m, &evidence(), &pool).expect("conditions"));
-        bits &= bits_match(&reference.0, &probe_answers(&f, &post));
-        par_s.push((threads, s));
-    }
-    assert!(bits, "parallel conditioning must be bit-identical");
-    Run {
-        seq_s: reference.1,
-        par_s,
-        bits,
-    }
+/// Measures every rung of `ladder` on one workload, asserting that each
+/// parallel run's answers match the sequential reference bit for bit.
+fn measure(width: usize, events: &[Event], ladder: &[u32], available: usize) -> Vec<Rung> {
+    let (reference, _) = run(width, events, None);
+    ladder
+        .iter()
+        .map(|&threads| {
+            let pool = Pool::new(threads);
+            let mut rung = Rung {
+                threads,
+                seq_s: Vec::new(),
+                par_s: Vec::new(),
+                core_bound: threads as usize > available,
+            };
+            for rep in 0..REPS {
+                // Alternate which side runs first, so neither always
+                // inherits the other's warm allocator or cold caches.
+                let mut sides = [None, Some(&pool)];
+                if rep % 2 == 1 {
+                    sides.reverse();
+                }
+                for side in sides {
+                    let (answers, s) = run(width, events, side);
+                    assert!(
+                        bits_match(&reference, &answers),
+                        "parallel conditioning must be bit-identical at {threads} threads"
+                    );
+                    match side {
+                        Some(_) => rung.par_s.push(s),
+                        None => rung.seq_s.push(s),
+                    }
+                }
+            }
+            rung
+        })
+        .collect()
 }
 
-/// Runs a `depth`-step conditioning chain over a `width`-component
-/// mixture; the chain is sequential, each step fans out internally.
-fn measure_chain(width: usize, depth: usize, ladder: &[u32]) -> Run {
-    let events = chain_events(depth);
-    let session = |_: ()| {
-        let f = Arc::new(Factory::new());
-        let m = wide_mixture(&f, width);
-        Model::new(f, m)
-    };
-    let reference = {
-        let model = session(());
-        let (post, seq_s) = timed(|| model.condition_chain(&events).expect("chains"));
-        (probe_answers(model.factory(), post.root()), seq_s)
-    };
-    let mut par_s = Vec::new();
-    let mut bits = true;
-    for &threads in ladder {
-        let pool = Pool::new(threads);
-        let model = session(());
-        let (post, s) = timed(|| {
-            model
-                .par_condition_chain_in(&pool, &events)
-                .expect("chains")
-        });
-        bits &= bits_match(&reference.0, &probe_answers(model.factory(), post.root()));
-        par_s.push((threads, s));
-    }
-    assert!(bits, "parallel chain must be bit-identical");
-    Run {
-        seq_s: reference.1,
-        par_s,
-        bits,
-    }
+/// The checked-out commit (suffixed `-dirty` when the tree has
+/// uncommitted changes), or `unknown` outside a git checkout.
+fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map_or_else(
+            || "unknown".to_string(),
+            |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
+        )
 }
 
 fn main() {
@@ -180,70 +209,75 @@ fn main() {
     let mut ladder: Vec<u32> = vec![1, 2, top];
     ladder.sort_unstable();
     ladder.dedup();
+    let available = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let components = if args.test { 200 } else { 1000 };
     let (chain_width, chain_depth) = if args.test { (32, 60) } else { (100, 500) };
 
-    let mixture = measure_mixture(components, &ladder);
-    let chain = measure_chain(chain_width, chain_depth, &ladder);
-
-    let available = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    let mut table = Table::new(["Workload", "Size", "Seq", "Par (top)", "Speedup", "Bits"]);
-    for (name, size, run) in [
-        ("wide_mixture", format!("{components} components"), &mixture),
+    let workloads = [
         (
-            "deep_chain",
-            format!("{chain_depth} steps x {chain_width} wide"),
-            &chain,
+            "mixture",
+            format!("{components} components"),
+            measure(components, &[evidence()], &ladder, available),
         ),
-    ] {
-        table.row([
-            name.to_string(),
-            size,
-            fmt_secs(run.seq_s),
-            fmt_secs(run.par_s.last().expect("ladder").1),
-            format!("{:.2}x", run.speedup_at_max()),
-            if run.bits { "identical" } else { "DIVERGED" }.to_string(),
-        ]);
+        (
+            "chain",
+            format!("{chain_depth} steps x {chain_width} wide"),
+            measure(chain_width, &chain_events(chain_depth), &ladder, available),
+        ),
+    ];
+
+    let fmt_runs = |xs: &[f64]| {
+        let (med, min, max) = summary(xs);
+        format!("{} [{}, {}]", fmt_secs(med), fmt_secs(min), fmt_secs(max))
+    };
+    let mut table = Table::new(["Workload", "Size", "Threads", "Seq", "Par", "Speedup"]);
+    for (name, size, rungs) in &workloads {
+        for rung in rungs {
+            table.row([
+                name.to_string(),
+                size.clone(),
+                rung.threads.to_string(),
+                fmt_runs(&rung.seq_s),
+                fmt_runs(&rung.par_s),
+                rung.speedup()
+                    .map_or_else(|| "core-bound".to_string(), |x| format!("{x:.2}x")),
+            ]);
+        }
     }
-    println!("parallel symbolic conditioning vs sequential (bit-identity asserted)\n");
+    println!(
+        "par_condition_in vs sequential condition: median [min, max] of {REPS} \
+         alternated runs per rung (bit-identity asserted)\n"
+    );
     table.print();
-    println!("\nthread ladder: {ladder:?}; {available} hardware thread(s) available");
-    if available < ladder.last().copied().unwrap_or(1) as usize {
-        println!(
-            "note: ladder exceeds hardware parallelism — speedups are \
-             bounded by the {available} available core(s); rerun on a \
-             multi-core box for the scaling numbers"
-        );
-    }
+    println!("\n{available} hardware thread(s) available; rungs above that are core-bound");
 
     if args.json {
         let mut json = JsonObject::new()
             .str("bench", "condition")
             .str("mode", args.mode())
-            .int("threads_available", available as u64)
+            .int("nproc", available as u64)
+            .str("commit", &commit())
+            .int("reps", REPS as u64)
             .int("mixture_components", components as u64)
             .int("chain_depth", chain_depth as u64)
             .int("chain_width", chain_width as u64)
-            .bool("bits_match", mixture.bits && chain.bits)
-            .num("mixture_seq_s", mixture.seq_s)
-            .num("chain_seq_s", chain.seq_s);
-        for (threads, s) in &mixture.par_s {
-            json = json.num(&format!("mixture_par{threads}_s"), *s);
-        }
-        for (threads, s) in &chain.par_s {
-            json = json.num(&format!("chain_par{threads}_s"), *s);
-        }
-        json = json
-            .num("mixture_speedup_at_max", mixture.speedup_at_max())
-            .num("chain_speedup_at_max", chain.speedup_at_max());
-        if available < ladder.last().copied().unwrap_or(1) as usize {
-            json = json.str(
-                "caveat",
-                "thread ladder exceeds hardware parallelism on this box; \
-                 speedup is core-bound, bit-identity is the asserted result",
-            );
+            .bool("bits_match", true);
+        for (name, _, rungs) in &workloads {
+            for rung in rungs {
+                let key = format!("{name}_t{}", rung.threads);
+                for (side, xs) in [("seq", &rung.seq_s), ("par", &rung.par_s)] {
+                    let (med, min, max) = summary(xs);
+                    json = json
+                        .num(&format!("{key}_{side}_median_s"), med)
+                        .num(&format!("{key}_{side}_min_s"), min)
+                        .num(&format!("{key}_{side}_max_s"), max);
+                }
+                json = json.bool(&format!("{key}_core_bound"), rung.core_bound);
+                if let Some(x) = rung.speedup() {
+                    json = json.num(&format!("{key}_speedup"), x);
+                }
+            }
         }
         json.write("BENCH_condition.json")
             .expect("write BENCH_condition.json");

@@ -396,7 +396,7 @@ impl ArenaModel {
     }
 
     /// Batched evaluation of events that are already
-    /// [canonical](Event::canonical) — the engine canonicalizes once to
+    /// [canonical](Event::canonical) — the session canonicalizes once to
     /// key its memo and hands only the misses over. Returns the answers
     /// for the events before the first failing one, and that failure.
     pub(crate) fn logprob_canonical(

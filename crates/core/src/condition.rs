@@ -6,18 +6,15 @@
 //! `P⟦S'⟧ e' = P⟦S⟧(e ⊓ e') / P⟦S⟧ e` for every event `e'`.
 //! Results are memoized in the [`Factory`] keyed by
 //! (physical node, event fingerprint), so deduplicated subgraphs are
-//! conditioned once (Sec. 5.1's memoization optimization), with a
-//! content-addressed fallback keyed by (node digest, event fingerprint)
-//! so pointer-distinct copies of one subgraph (possible when `dedup` is
-//! disabled) also share a single posterior.
+//! conditioned once (Sec. 5.1's memoization optimization).
 //!
 //! # Parallelism
 //!
 //! The per-child subproblems at `Sum` nodes (Lst. 6b) and the per-clause
 //! / per-factor subproblems at `Product` nodes (Lst. 6c) are mutually
-//! independent, so [`par_condition`]/[`par_condition_in`] fan them out
-//! over a scoped pool. Workers fill index-ordered slots and the join
-//! walks them in the node's stored (digest-canonical) child order, so
+//! independent, so [`par_condition_in`] fans them out over a
+//! caller-supplied scoped pool. Workers fill index-ordered slots and the
+//! join walks them in the node's stored (digest-canonical) child order, so
 //! [`Factory::sum`] receives exactly the `(parts, weights)` sequence the
 //! sequential walk produces and the posterior is **bit-identical** —
 //! including which error is reported (the earliest child's, as in the
@@ -37,11 +34,8 @@ use crate::spe::{leaf_event_outcomes, Env, Factory, Node, Spe};
 use crate::transform::Transform;
 use crate::var::Var;
 
-/// Conditions `spe` on `event` (Thm. 4.1).
-///
-/// Sequential unless the process opted in via `SPPL_PAR_SYMBOLIC=1`
-/// (see [`crate::par::symbolic_pool`]); use [`par_condition_in`] for
-/// explicit parallelism.
+/// Conditions `spe` on `event` (Thm. 4.1), sequentially; use
+/// [`par_condition_in`] to fan wide nodes out over a pool.
 ///
 /// # Errors
 ///
@@ -50,27 +44,16 @@ use crate::var::Var;
 ///   outside the scope;
 /// * [`SpplError::MultivariateTransform`] for R3 violations.
 pub fn condition(factory: &Factory, spe: &Spe, event: &Event) -> Result<Spe, SpplError> {
-    condition_ctx(factory, spe, event, ParCtx::env_default())
+    condition_ctx(factory, spe, event, ParCtx::seq())
 }
 
 /// [`condition`] with wide `Sum`/`Product` fan-outs parallelized over
-/// the global pool ([`crate::engine::global_pool`]). Bit-identical to
-/// the sequential walk — same posterior, same cache contents, same
-/// error on failure.
+/// `pool`. Bit-identical to the sequential walk — same posterior, same
+/// cache contents, same error on failure. A single-worker pool degrades
+/// to the sequential walk.
 ///
-/// Must not be called from inside a job running on the global pool
-/// (nested scopes on one pool deadlock); the plain [`condition`] is
-/// safe there — its opt-in degrades to sequential on pool workers.
-///
-/// # Errors
-///
-/// Same conditions as [`condition`].
-pub fn par_condition(factory: &Factory, spe: &Spe, event: &Event) -> Result<Spe, SpplError> {
-    par_condition_in(factory, spe, event, crate::engine::global_pool())
-}
-
-/// [`par_condition`] over a caller-supplied pool. A single-worker pool
-/// degrades to the sequential walk.
+/// Must not be called from inside a job running on `pool` (nested
+/// scopes on one pool deadlock).
 ///
 /// # Errors
 ///
@@ -84,9 +67,8 @@ pub fn par_condition_in(
     condition_ctx(factory, spe, event, ParCtx::with_pool(pool))
 }
 
-/// The memoization wrapper: pointer-keyed probe, then content-digest
-/// probe, then compute-and-fill (first-write-wins on both tables).
-/// Exactly one hit or one miss is counted per call.
+/// The memoization wrapper: pointer-keyed probe, then compute-and-fill
+/// (first-write-wins). Exactly one hit or one miss is counted per call.
 pub(crate) fn condition_ctx(
     factory: &Factory,
     spe: &Spe,
@@ -101,25 +83,12 @@ pub(crate) fn condition_ctx(
         factory.cond_counters.hit();
         return cached;
     }
-    // Content-addressed fast path: a pointer-distinct copy of this
-    // subgraph may already have been conditioned on this event (see the
-    // `cond_digest_cache` field docs). Promote hits under the pointer
-    // key so the next probe is a single lookup.
-    let dkey = (spe.digest(), event.fingerprint());
-    if let Some(cached) = factory.cond_digest_cache.get(&dkey) {
-        factory.cond_counters.hit();
-        let (_, winner) = factory.cond_cache.get_or_insert(key, (spe.clone(), cached));
-        return winner;
-    }
     factory.cond_counters.miss();
     let result = condition_uncached(factory, spe, event, par);
     // First-write-wins: racing workers that computed the same subproblem
     // all return the entry that landed first, so callers across threads
     // share one physical posterior.
     let (_, winner) = factory.cond_cache.get_or_insert(key, (spe.clone(), result));
-    let _ = factory
-        .cond_digest_cache
-        .get_or_insert(dkey, winner.clone());
     winner
 }
 

@@ -191,28 +191,13 @@ fn leaf_density(
 /// * [`SpplError::TransformedConstraint`] for derived variables;
 /// * [`SpplError::UnknownVariable`] for out-of-scope variables.
 pub fn constrain(factory: &Factory, spe: &Spe, assignment: &Assignment) -> Result<Spe, SpplError> {
-    constrain_ctx(factory, spe, assignment, ParCtx::env_default())
+    constrain_ctx(factory, spe, assignment, ParCtx::seq())
 }
 
 /// [`constrain`] with wide `Sum`/`Product` fan-outs parallelized over
-/// the global pool ([`crate::engine::global_pool`]). Bit-identical to
-/// the sequential walk. Must not be called from inside a job running on
-/// the global pool (nested scopes deadlock); plain [`constrain`] is
-/// safe there.
-///
-/// # Errors
-///
-/// Same conditions as [`constrain`].
-pub fn par_constrain(
-    factory: &Factory,
-    spe: &Spe,
-    assignment: &Assignment,
-) -> Result<Spe, SpplError> {
-    par_constrain_in(factory, spe, assignment, crate::engine::global_pool())
-}
-
-/// [`par_constrain`] over a caller-supplied pool. A single-worker pool
-/// degrades to the sequential walk.
+/// `pool`. Bit-identical to the sequential walk. A single-worker pool
+/// degrades to the sequential walk. Must not be called from inside a
+/// job running on `pool` (nested scopes deadlock).
 ///
 /// # Errors
 ///

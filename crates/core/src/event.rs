@@ -458,7 +458,7 @@ impl Event {
     /// Literal sets are untouched (they are already canonical).
     ///
     /// This is the cache key used by
-    /// [`QueryEngine`](crate::engine::QueryEngine): canonicalization is
+    /// [`Model`](crate::model::Model): canonicalization is
     /// purely structural (associativity, commutativity, idempotence of
     /// `∧`/`∨`), so the canonical event denotes the same set of outcomes.
     pub fn canonical(&self) -> Event {

@@ -19,19 +19,21 @@
 //!   factorization/deduplication (Sec. 5.1), well-formedness C1–C5,
 //! * [`prob`] — the distribution semantics `P⟦S⟧ e` (Lst. 1f) with
 //!   memoization,
-//! * [`mod@condition`] — the `condition` algorithm (Lst. 6, Thm. 4.1),
-//! * [`par`] — the parallel fan-out scaffolding behind `par_condition`/
-//!   `par_constrain` and the `SPPL_PAR_SYMBOLIC` opt-in,
-//! * [`engine`] — the memoized [`QueryEngine`]:
-//!   batched `logprob`/`condition` over one compiled SPE with
-//!   canonicalized-event caching and cache statistics,
+//! * [`mod@condition`] — the `condition` algorithm (Lst. 6, Thm. 4.1);
+//!   [`par_condition_in`] and [`par_constrain_in`] fan its wide nodes out
+//!   over a caller-supplied pool, bit-identically (sized by
+//!   [`default_threads`], or shared via [`global_pool`]),
 //! * [`arena`] — the [`ArenaModel`] batch evaluator: digest-keyed
 //!   compilation of a model into a flat, topologically-ordered arena
 //!   with struct-of-arrays batch evaluation, bit-identical to [`prob`],
-//! * [`model`] — the session-first [`Model`] handle:
-//!   `Arc<Factory>` + root + engine in one `Clone + Send + Sync` object
-//!   whose `condition`/`constrain` return posteriors as first-class
-//!   models (the public face of Thm. 4.1's closure property),
+//! * [`model`] — the [`Model`] session, the one way to query a compiled
+//!   SPE: `Arc<Factory>` + root + memoized, canonicalized-event query
+//!   caches (single and batched `logprob`, conditioning chains, cache
+//!   statistics) in one `Clone + Send + Sync` object whose
+//!   `condition`/`constrain` return posteriors as first-class models
+//!   (the public face of Thm. 4.1's closure property),
+//! * [`cache`] — the cross-session [`SharedCache`] with snapshots, and
+//!   the [`CacheStats`] shape every cache layer reports,
 //! * [`density`] — the lexicographic density semantics `P₀` (Lst. 1d) and
 //!   `condition0`/`constrain` for measure-zero events (Lst. 7),
 //! * [`simulate`] — ancestral sampling (Prop. A.1),
@@ -80,11 +82,10 @@ pub mod condition;
 pub mod density;
 pub mod digest;
 pub mod disjoin;
-pub mod engine;
 pub mod error;
 pub mod event;
 pub mod model;
-pub mod par;
+mod par;
 pub mod prob;
 pub mod simulate;
 pub mod spe;
@@ -95,14 +96,14 @@ pub mod var;
 pub mod wire;
 
 pub use arena::ArenaModel;
-pub use cache::SharedCache;
-pub use condition::{condition, par_condition, par_condition_in};
-pub use density::{constrain, par_constrain, par_constrain_in, Assignment};
+pub use cache::{CacheStats, SharedCache};
+pub use condition::{condition, par_condition_in};
+pub use density::{constrain, par_constrain_in, Assignment};
 pub use digest::{Fingerprint, ModelDigest, DIGEST_VERSION};
-pub use engine::{default_threads, global_pool, CacheStats, QueryEngine};
 pub use error::SpplError;
 pub use event::{var, Event, Scalar};
 pub use model::Model;
+pub use par::{default_threads, global_pool};
 pub use spe::{Factory, Spe};
 pub use transform::Transform;
 pub use var::Var;
@@ -115,14 +116,14 @@ pub use scoped_threadpool::Pool;
 /// Convenient glob import for downstream crates and examples.
 pub mod prelude {
     pub use crate::arena::ArenaModel;
-    pub use crate::cache::SharedCache;
+    pub use crate::cache::{CacheStats, SharedCache};
     pub use crate::condition::condition;
     pub use crate::density::{constrain, Assignment};
     pub use crate::digest::{Fingerprint, ModelDigest, DIGEST_VERSION};
-    pub use crate::engine::{default_threads, global_pool, CacheStats, QueryEngine};
     pub use crate::error::SpplError;
     pub use crate::event::{var, Event, Scalar};
     pub use crate::model::Model;
+    pub use crate::par::{default_threads, global_pool};
     pub use crate::simulate::Sample;
     pub use crate::spe::{Factory, Spe};
     pub use crate::transform::Transform;

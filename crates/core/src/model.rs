@@ -1,6 +1,6 @@
-//! The session-first [`Model`] handle: one cheaply-cloneable object that
-//! owns a compiled sum-product expression together with everything needed
-//! to query it fast, and — the point — stays closed under conditioning.
+//! The [`Model`] session: one cheaply-cloneable handle that owns a
+//! compiled sum-product expression together with everything needed to
+//! query it fast, and — the point — stays closed under conditioning.
 //!
 //! The paper's central theorem (Thm. 4.1) says sum-product expressions
 //! are closed under conditioning: the posterior of an SPE is again an
@@ -15,9 +15,43 @@
 //! the model half of the key is the [deep content digest](Spe::digest),
 //! which differs whenever the distribution does).
 //!
+//! # Caching
+//!
+//! `prob`/`condition` are already memoized *within* a call over the
+//! deduplicated DAG ([`Factory::logprob`],
+//! [`condition`]); a session adds the
+//! *across-call* layer the paper's workflow implies (Fig. 7a: translate
+//! once, then answer many queries). Whole-query results are keyed by the
+//! [canonicalized](Event::canonical) event fingerprint, so:
+//!
+//! * a repeated query is a single hash lookup returning a bit-identical
+//!   result;
+//! * structurally equivalent events built in different operand orders hit
+//!   the same entry;
+//! * batched queries ([`Model::logprob_many`]) answer memo hits first and
+//!   evaluate only the misses, in one pass over the
+//!   [arena-compiled](ArenaModel) model;
+//! * conditioning chains ([`Model::condition_chain`]) reuse both the
+//!   factory's per-step memo and a session-level prefix cache.
+//!
+//! # Concurrency
+//!
 //! A `Model` is `Clone + Send + Sync` and all methods take `&self`:
 //! clone it into as many threads or request handlers as needed — clones
-//! share one embedded [`QueryEngine`] and therefore one set of caches.
+//! share one set of session caches. Every cache is a sharded lock map
+//! and every counter an atomic; inference is a pure function of the DAG
+//! and the event, so concurrent callers see bit-identical answers
+//! whichever of them fills a cache entry first.
+//!
+//! # Invalidation
+//!
+//! Invalidation is tied to [`Factory::clear_caches`] through the factory's
+//! [cache generation](Factory::cache_generation): clearing the factory —
+//! directly or via [`Model::clear_caches`] — drops the session's entries
+//! and resets its statistics. Every session-cache entry is tagged with
+//! the generation current when its computation began and is served only
+//! while that tag matches, so a clear racing against in-flight queries
+//! can never resurrect a pre-clear entry.
 //!
 //! # Example
 //!
@@ -39,6 +73,8 @@
 //! // Query the prior…
 //! let p = model.prob(&(var("X").le(0.0) & var("Y").le(0.0))).unwrap();
 //! assert!((p - 0.25).abs() < 1e-12);
+//! assert_eq!(model.prob(&(var("Y").le(0.0) & var("X").le(0.0))).unwrap().to_bits(), p.to_bits());
+//! assert_eq!(model.stats().hits, 1);
 //!
 //! // …condition, and query the posterior through the same kind of handle.
 //! let posterior = model.condition(&var("X").le(0.0)).unwrap();
@@ -46,28 +82,147 @@
 //! assert!((posterior.prob(&var("X").gt(0.0)).unwrap()).abs() < 1e-12);
 //! ```
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use rand::Rng;
-use scoped_threadpool::Pool;
 
 use crate::arena::ArenaModel;
-use crate::cache::SharedCache;
-use crate::density::{constrain, par_constrain, par_constrain_in, Assignment};
-use crate::digest::ModelDigest;
-use crate::engine::{CacheStats, QueryEngine};
+use crate::cache::{CacheStats, SharedCache};
+use crate::condition::condition;
+use crate::density::{constrain, Assignment};
+use crate::digest::{Fingerprint, ModelDigest};
 use crate::error::SpplError;
 use crate::event::Event;
 use crate::simulate::Sample;
 use crate::spe::{Factory, Spe};
+use crate::sync_map::ShardedMap;
 
 /// A queryable probabilistic-model session (see the [module docs](self)):
-/// `Arc<Factory>` + root [`Spe`] + embedded memoized [`QueryEngine`],
-/// closed under [`condition`](Model::condition) /
-/// [`constrain`](Model::constrain).
+/// `Arc<Factory>` + root [`Spe`] + memoized query caches, closed under
+/// [`condition`](Model::condition) / [`constrain`](Model::constrain).
 #[derive(Clone)]
 pub struct Model {
-    engine: Arc<QueryEngine>,
+    session: Arc<Session>,
+}
+
+/// The state every clone of one [`Model`] shares.
+struct Session {
+    factory: Arc<Factory>,
+    root: Spe,
+    /// Deep model digest, computed lazily (used by the shared cache).
+    digest: OnceLock<ModelDigest>,
+    /// Arena-compiled form of `root`, built on first use and then shared
+    /// (the process-wide arena registry dedupes by digest underneath).
+    arena: OnceLock<Arc<ArenaModel>>,
+    /// Optional cross-session result cache.
+    shared: Option<Arc<SharedCache>>,
+    /// Canonical event fingerprint → (generation tag, log-probability).
+    logprob_cache: ShardedMap<Fingerprint, (u64, f64)>,
+    /// Chain prefix key → (generation tag, posterior).
+    cond_cache: ShardedMap<Fingerprint, (u64, Spe)>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    seen_generation: AtomicU64,
+}
+
+/// Seed for conditioning-chain prefix keys; [`Fingerprint::chain`] keeps
+/// every chained key distinct from any single-event fingerprint path.
+const CHAIN_SEED: Fingerprint = Fingerprint::from_u128(0x51c5_a9b3_7f4e_d081);
+
+impl Session {
+    fn new(factory: Arc<Factory>, root: Spe, shared: Option<Arc<SharedCache>>) -> Session {
+        let generation = factory.cache_generation();
+        Session {
+            factory,
+            root,
+            digest: OnceLock::new(),
+            arena: OnceLock::new(),
+            shared,
+            logprob_cache: ShardedMap::new(),
+            cond_cache: ShardedMap::new(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            seen_generation: AtomicU64::new(generation),
+        }
+    }
+
+    fn model_digest(&self) -> ModelDigest {
+        *self.digest.get_or_init(|| self.root.digest())
+    }
+
+    /// Drops session entries when the factory's caches were cleared
+    /// behind our back (session keys pin no nodes, so stale entries would
+    /// outlive the node-level tables they were derived from), and returns
+    /// the current generation. Generation tags on the entries make this
+    /// airtight under races: even before a lagging thread syncs, tagged
+    /// lookups refuse entries from older generations.
+    fn sync_generation(&self) -> u64 {
+        let current = self.factory.cache_generation();
+        let mut seen = self.seen_generation.load(Ordering::SeqCst);
+        // Only ever advance: a lagging thread that read an older factory
+        // generation before a concurrent bump must not drag
+        // `seen_generation` backwards (that would wipe freshly valid
+        // entries and reset statistics a second time). Exactly one thread
+        // wins the CAS per bump and performs the sweep.
+        while seen < current {
+            match self.seen_generation.compare_exchange(
+                seen,
+                current,
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            ) {
+                Ok(_) => {
+                    self.logprob_cache.clear();
+                    self.cond_cache.clear();
+                    self.hits.store(0, Ordering::Relaxed);
+                    self.misses.store(0, Ordering::Relaxed);
+                    break;
+                }
+                Err(actual) => seen = actual,
+            }
+        }
+        current
+    }
+
+    /// The memo's entry for `key`, counting a hit when it is current.
+    fn memo_hit(&self, key: Fingerprint, generation: u64) -> Option<f64> {
+        match self.logprob_cache.get(&key) {
+            Some((tag, value)) if tag == generation => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Some(value)
+            }
+            _ => None,
+        }
+    }
+
+    /// Counts a miss, then consults the shared cache; a shared hit is
+    /// promoted into the memo so the next lookup is lock-cheap.
+    fn shared_hit(&self, key: Fingerprint, generation: u64) -> Option<f64> {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let value = self.shared.as_ref()?.get(self.model_digest(), key)?;
+        self.logprob_cache.insert(key, (generation, value));
+        Some(value)
+    }
+
+    /// Stores a freshly computed answer and returns the value to serve.
+    fn publish(&self, key: Fingerprint, generation: u64, computed: f64) -> f64 {
+        // The shared cache is authoritative: serve whatever value is now
+        // stored under the key. (Since sum-child order became content-
+        // canonical, a racing session computes identical bits anyway —
+        // this discipline keeps consistency independent of that
+        // invariant.)
+        let value = match &self.shared {
+            Some(shared) => shared.insert(self.model_digest(), key, computed),
+            None => computed,
+        };
+        // Tagged with the generation read *before* computing: if a
+        // clear_caches raced this evaluation, the tag is already stale and
+        // the entry will never be served.
+        self.logprob_cache.insert(key, (generation, value));
+        value
+    }
 }
 
 impl Model {
@@ -87,34 +242,25 @@ impl Model {
     /// assert!(model.root().is_leaf());
     /// ```
     pub fn new(factory: impl Into<Arc<Factory>>, root: Spe) -> Model {
-        Model::from_engine(QueryEngine::new(factory, root))
+        Model::from_session(Session::new(factory.into(), root, None))
     }
 
-    /// Wraps an already-configured engine (e.g. one built with
-    /// [`QueryEngine::with_shared_cache`]) into a session handle.
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let model = Model::from_engine(QueryEngine::new(f, x));
-    /// assert_eq!(model.stats(), CacheStats::default());
-    /// ```
-    pub fn from_engine(engine: QueryEngine) -> Model {
+    fn from_session(session: Session) -> Model {
         Model {
-            engine: Arc::new(engine),
+            session: Arc::new(session),
         }
     }
 
-    /// Attaches a cross-session [`SharedCache`]; posteriors derived from
-    /// this model inherit the attachment. When this handle has clones
-    /// (the engine `Arc` is shared), the returned model gets a fresh
-    /// engine over the same factory and root — factory-level memos are
-    /// unaffected, only engine-local entries start cold.
+    /// Attaches a cross-session [`SharedCache`]: `logprob`/`prob` lookups
+    /// that miss this session's own memo consult (and fill) the shared
+    /// one, keyed by this model's [deep digest](Spe::digest), so sessions
+    /// over separately compiled copies of the same model share entries.
+    /// Shared hits still count as session-level misses (the shared cache
+    /// keeps its own statistics). Posteriors derived from this model
+    /// inherit the attachment. When this handle has clones, the returned
+    /// model gets a fresh session over the same factory and root —
+    /// factory-level memos are unaffected, only session-local entries
+    /// start cold.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -131,43 +277,38 @@ impl Model {
     /// assert_eq!(cache.stats().entries, 1);
     /// ```
     pub fn with_shared_cache(self, cache: Arc<SharedCache>) -> Model {
-        let engine = match Arc::try_unwrap(self.engine) {
-            Ok(engine) => engine,
-            Err(shared) => {
-                QueryEngine::new(Arc::clone(shared.factory_arc()), shared.root().clone())
-            }
+        let session = match Arc::try_unwrap(self.session) {
+            Ok(session) => Session {
+                shared: Some(cache),
+                ..session
+            },
+            Err(other) => Session::new(Arc::clone(&other.factory), other.root.clone(), Some(cache)),
         };
-        Model::from_engine(engine.with_shared_cache(cache))
+        Model::from_session(session)
     }
 
     /// The attached shared cache, if any.
     pub fn shared_cache(&self) -> Option<&Arc<SharedCache>> {
-        self.engine.shared_cache()
+        self.session.shared.as_ref()
     }
 
     /// The factory this session builds in (for node-level cache
     /// statistics, or to construct further expressions over the same
     /// intern table).
     pub fn factory(&self) -> &Factory {
-        self.engine.factory()
+        &self.session.factory
     }
 
     /// The shared factory handle. Posteriors returned by
     /// [`Model::condition`] / [`Model::constrain`] satisfy
     /// `Arc::ptr_eq(parent.factory_arc(), posterior.factory_arc())`.
     pub fn factory_arc(&self) -> &Arc<Factory> {
-        self.engine.factory_arc()
+        &self.session.factory
     }
 
     /// The compiled sum-product expression queries are answered against.
     pub fn root(&self) -> &Spe {
-        self.engine.root()
-    }
-
-    /// The embedded memoized query engine (for code that still wants the
-    /// lower-level surface, e.g. custom pool plumbing).
-    pub fn engine(&self) -> &QueryEngine {
-        &self.engine
+        &self.session.root
     }
 
     /// The root expression's deep content digest — the model half of the
@@ -176,7 +317,7 @@ impl Model {
     /// across factories, processes, and builds of one
     /// [`DIGEST_VERSION`](crate::digest::DIGEST_VERSION).
     pub fn model_digest(&self) -> ModelDigest {
-        self.engine.model_digest()
+        self.session.model_digest()
     }
 
     /// Compiles this model (prior or posterior — any `Model`) into an
@@ -207,7 +348,8 @@ impl Model {
     /// }
     /// ```
     pub fn compile_arena(&self) -> Arc<ArenaModel> {
-        self.engine.compile_arena()
+        let s = &*self.session;
+        Arc::clone(s.arena.get_or_init(|| ArenaModel::compile(&s.root)))
     }
 
     /// Natural log of the probability of `event`, memoized across calls
@@ -231,7 +373,18 @@ impl Model {
     /// assert!((lp - 0.5f64.ln()).abs() < 1e-12);
     /// ```
     pub fn logprob(&self, event: &Event) -> Result<f64, SpplError> {
-        self.engine.logprob(event)
+        let s = &*self.session;
+        let generation = s.sync_generation();
+        let canonical = event.canonical();
+        let key = canonical.fingerprint();
+        if let Some(value) = s
+            .memo_hit(key, generation)
+            .or_else(|| s.shared_hit(key, generation))
+        {
+            return Ok(value);
+        }
+        let computed = s.factory.logprob(&s.root, &canonical)?;
+        Ok(s.publish(key, generation, computed))
     }
 
     /// The probability of `event`, clamped to `[0, 1]` (see [`Spe::prob`]
@@ -253,18 +406,23 @@ impl Model {
     /// assert!((model.prob(&var("X").le(0.0)).unwrap() - 0.5).abs() < 1e-12);
     /// ```
     pub fn prob(&self, event: &Event) -> Result<f64, SpplError> {
-        self.engine.prob(event)
+        Ok(self.logprob(event)?.exp().clamp(0.0, 1.0))
     }
 
     /// Batched [`Model::logprob`], bit-identical to calling it per
-    /// event: memo and shared-cache hits (and repeats within the batch)
-    /// are answered first, and the misses are evaluated together in one
-    /// pass over the [arena](Model::compile_arena), then memoized. See
-    /// [`QueryEngine::logprob_many`].
+    /// event. Each event is canonicalized and fingerprinted once and
+    /// answered from the memo, from an earlier occurrence in the batch,
+    /// or from the shared cache, with the same hit/miss counts a
+    /// per-event loop records. The remaining misses are evaluated
+    /// together in one pass over the [arena](Model::compile_arena) —
+    /// compiled only if there is a miss — and published to both caches
+    /// under the keys `logprob` uses.
     ///
     /// # Errors
     ///
     /// The first failing event's error, as [`Spe::logprob`] reports it.
+    /// The answers computed before it are still published; the lookups
+    /// of the whole batch have been counted.
     ///
     /// ```
     /// use sppl_core::prelude::*;
@@ -279,7 +437,43 @@ impl Model {
     /// assert_eq!(lps.len(), 2);
     /// ```
     pub fn logprob_many(&self, events: &[Event]) -> Result<Vec<f64>, SpplError> {
-        self.engine.logprob_many(events)
+        let s = &*self.session;
+        let generation = s.sync_generation();
+        let mut out = vec![0.0; events.len()];
+        // Misses to evaluate: batch index, key, and canonical event.
+        let (mut miss_at, mut miss_keys, mut miss_events) = (Vec::new(), Vec::new(), Vec::new());
+        // Key → position in the miss list, and the in-batch repeats of
+        // a miss as (batch index, miss position).
+        let mut first_miss: HashMap<Fingerprint, usize> = HashMap::new();
+        let mut repeats = Vec::new();
+        for (i, event) in events.iter().enumerate() {
+            let canonical = event.canonical();
+            let key = canonical.fingerprint();
+            if let Some(value) = s.memo_hit(key, generation) {
+                out[i] = value;
+            } else if let Some(&m) = first_miss.get(&key) {
+                s.hits.fetch_add(1, Ordering::Relaxed);
+                repeats.push((i, m));
+            } else if let Some(value) = s.shared_hit(key, generation) {
+                out[i] = value;
+            } else {
+                first_miss.insert(key, miss_at.len());
+                miss_at.push(i);
+                miss_keys.push(key);
+                miss_events.push(canonical);
+            }
+        }
+        if !miss_events.is_empty() {
+            let (computed, status) = self.compile_arena().logprob_canonical(miss_events);
+            for ((&i, &key), value) in miss_at.iter().zip(&miss_keys).zip(computed) {
+                out[i] = s.publish(key, generation, value);
+            }
+            status?;
+        }
+        for (i, m) in repeats {
+            out[i] = out[miss_at[m]];
+        }
+        Ok(out)
     }
 
     /// Batched [`Model::prob`] with the same clamping.
@@ -301,7 +495,11 @@ impl Model {
     /// assert!((ps[0] + ps[1] - 1.0).abs() < 1e-12);
     /// ```
     pub fn prob_many(&self, events: &[Event]) -> Result<Vec<f64>, SpplError> {
-        self.engine.prob_many(events)
+        Ok(self
+            .logprob_many(events)?
+            .into_iter()
+            .map(|lp| lp.exp().clamp(0.0, 1.0))
+            .collect())
     }
 
     /// Conditions the model on a positive-probability `event` (Thm. 4.1)
@@ -315,7 +513,7 @@ impl Model {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`condition`](crate::condition::condition); in
+    /// Same conditions as [`condition`]; in
     /// particular [`SpplError::ZeroProbability`] when `P(event) = 0`.
     ///
     /// ```
@@ -333,12 +531,12 @@ impl Model {
     /// assert!((posterior.prob(&var("X").gt(0.0)).unwrap() - 1.0).abs() < 1e-9);
     /// ```
     pub fn condition(&self, event: &Event) -> Result<Model, SpplError> {
-        Ok(self.child(self.engine.condition(event)?))
+        self.condition_chain(std::slice::from_ref(event))
     }
 
     /// Sequentially conditions on each event in turn — the filtering
     /// workflow `S | e₁ | e₂ | …` — returning the final posterior as a
-    /// `Model`. Every prefix posterior is cached in the engine, so
+    /// `Model`. Every prefix posterior is cached in the session, so
     /// extending an already-computed chain pays only for the new suffix.
     /// **Empty-chain semantics**: `condition_chain(&[])` is the identity
     /// — it returns a model over this session's own root (matching
@@ -369,7 +567,25 @@ impl Model {
     /// assert!(model.condition_chain(&[]).unwrap().root().same(model.root()));
     /// ```
     pub fn condition_chain(&self, events: &[Event]) -> Result<Model, SpplError> {
-        Ok(self.child(self.engine.condition_chain(events)?))
+        let s = &*self.session;
+        let generation = s.sync_generation();
+        let mut current = s.root.clone();
+        let mut key = CHAIN_SEED;
+        for event in events {
+            let canonical = event.canonical();
+            key = key.chain(canonical.fingerprint());
+            if let Some((tag, posterior)) = s.cond_cache.get(&key) {
+                if tag == generation {
+                    s.hits.fetch_add(1, Ordering::Relaxed);
+                    current = posterior;
+                    continue;
+                }
+            }
+            s.misses.fetch_add(1, Ordering::Relaxed);
+            current = condition(&s.factory, &current, &canonical)?;
+            s.cond_cache.insert(key, (generation, current.clone()));
+        }
+        Ok(self.child(current))
     }
 
     /// Conditions on a conjunction of (possibly measure-zero) equality
@@ -403,179 +619,6 @@ impl Model {
     /// ```
     pub fn constrain(&self, assignment: &Assignment) -> Result<Model, SpplError> {
         Ok(self.child(constrain(self.factory(), self.root(), assignment)?))
-    }
-
-    /// [`Model::condition`] with wide `Sum`/`Product` fan-outs
-    /// parallelized over the global pool — **bit-identical** to the
-    /// sequential walk: same posterior (physically, via the shared
-    /// memo), same cache contents, same error on failure. Narrow nodes
-    /// stay on the calling thread (see [`crate::par`]). Must not be
-    /// called from a job already running on the global pool.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Model::condition`].
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let model = Model::new(f, x);
-    /// let seq = model.condition(&var("X").gt(0.0)).unwrap();
-    /// let par = model.par_condition(&var("X").gt(0.0)).unwrap();
-    /// let probe = var("X").gt(1.0);
-    /// assert_eq!(
-    ///     par.logprob(&probe).unwrap().to_bits(),
-    ///     seq.logprob(&probe).unwrap().to_bits(),
-    /// );
-    /// ```
-    pub fn par_condition(&self, event: &Event) -> Result<Model, SpplError> {
-        Ok(self.child(self.engine.par_condition(event)?))
-    }
-
-    /// [`Model::par_condition`] on a caller-provided pool. A
-    /// single-worker pool degrades to the sequential walk.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Model::condition`].
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let model = Model::new(f, x);
-    /// let pool = Pool::new(2);
-    /// let par = model.par_condition_in(&pool, &var("X").gt(0.0)).unwrap();
-    /// assert!((par.prob(&var("X").gt(0.0)).unwrap() - 1.0).abs() < 1e-9);
-    /// ```
-    pub fn par_condition_in(&self, pool: &Pool, event: &Event) -> Result<Model, SpplError> {
-        Ok(self.child(self.engine.par_condition_in(pool, event)?))
-    }
-
-    /// [`Model::condition_chain`] with each step's wide fan-outs
-    /// parallelized over the global pool. The chain itself stays
-    /// sequential (step *k+1* conditions step *k*'s posterior); prefix
-    /// posteriors are cached exactly as in the sequential chain.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Model::condition_chain`].
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let model = Model::new(f, x);
-    /// let chain = [var("X").gt(-1.0), var("X").lt(1.0)];
-    /// let seq = model.condition_chain(&chain).unwrap();
-    /// let par = model.par_condition_chain(&chain).unwrap();
-    /// // Same memoized posterior — physically identical.
-    /// assert!(par.root().same(seq.root()));
-    /// ```
-    pub fn par_condition_chain(&self, events: &[Event]) -> Result<Model, SpplError> {
-        Ok(self.child(self.engine.par_condition_chain(events)?))
-    }
-
-    /// [`Model::par_condition_chain`] on a caller-provided pool.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Model::condition_chain`].
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let model = Model::new(f, x);
-    /// let pool = Pool::new(2);
-    /// let chain = [var("X").gt(-1.0), var("X").lt(1.0)];
-    /// let par = model.par_condition_chain_in(&pool, &chain).unwrap();
-    /// assert!(par.root().same(model.condition_chain(&chain).unwrap().root()));
-    /// ```
-    pub fn par_condition_chain_in(
-        &self,
-        pool: &Pool,
-        events: &[Event],
-    ) -> Result<Model, SpplError> {
-        Ok(self.child(self.engine.par_condition_chain_in(pool, events)?))
-    }
-
-    /// [`Model::constrain`] with wide `Sum`/`Product` fan-outs
-    /// parallelized over the global pool — bit-identical to the
-    /// sequential walk. Must not be called from a job already running on
-    /// the global pool.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Model::constrain`].
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let model = Model::new(f, x);
-    /// let mut obs = Assignment::new();
-    /// obs.insert(Var::new("X"), Outcome::Real(0.25));
-    /// let par = model.par_constrain(&obs).unwrap();
-    /// assert!(par.root().same(model.constrain(&obs).unwrap().root()));
-    /// ```
-    pub fn par_constrain(&self, assignment: &Assignment) -> Result<Model, SpplError> {
-        Ok(self.child(par_constrain(self.factory(), self.root(), assignment)?))
-    }
-
-    /// [`Model::par_constrain`] on a caller-provided pool.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Model::constrain`].
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let model = Model::new(f, x);
-    /// let pool = Pool::new(2);
-    /// let mut obs = Assignment::new();
-    /// obs.insert(Var::new("X"), Outcome::Real(0.25));
-    /// let par = model.par_constrain_in(&pool, &obs).unwrap();
-    /// assert!(par.root().same(model.constrain(&obs).unwrap().root()));
-    /// ```
-    pub fn par_constrain_in(
-        &self,
-        pool: &Pool,
-        assignment: &Assignment,
-    ) -> Result<Model, SpplError> {
-        Ok(self.child(par_constrain_in(
-            self.factory(),
-            self.root(),
-            assignment,
-            pool,
-        )?))
     }
 
     /// Draws one joint ancestral sample of every variable in scope
@@ -619,36 +662,42 @@ impl Model {
         self.root().sample_many(rng, n)
     }
 
-    /// Engine-level cache statistics for this session (shared by all
-    /// clones of this handle, *not* by posteriors — each posterior model
-    /// has its own engine over the shared factory).
+    /// Session-level cache statistics: hits and misses across the
+    /// `logprob` and `condition` paths, and total entries stored. Shared
+    /// by all clones of this handle, *not* by posteriors — each posterior
+    /// model has its own session over the shared factory. For the
+    /// node-level tables underneath, see [`Factory::prob_cache_stats`]
+    /// and [`Factory::cond_cache_stats`]; for the cross-session layer,
+    /// see [`SharedCache::stats`].
     pub fn stats(&self) -> CacheStats {
-        self.engine.stats()
+        let s = &*self.session;
+        s.sync_generation();
+        CacheStats {
+            hits: s.hits.load(Ordering::Relaxed),
+            misses: s.misses.load(Ordering::Relaxed),
+            entries: s.logprob_cache.len() + s.cond_cache.len(),
+        }
     }
 
-    /// Clears this session's engine cache and the shared factory's
-    /// node-level caches. **The factory is shared**: sibling sessions and
-    /// posteriors over the same factory drop their engine entries too
-    /// (their entries are generation-tagged against the factory). An
-    /// attached [`SharedCache`] is not touched.
+    /// Clears this session's caches, the shared factory's node-level
+    /// caches, and all statistics. **The factory is shared**: sibling
+    /// sessions and posteriors over the same factory drop their entries
+    /// too (their entries are generation-tagged against the factory). An
+    /// attached [`SharedCache`] is not touched — its entries are pure
+    /// values shared with other sessions; clear it explicitly via
+    /// [`SharedCache::clear`] if the memory must go.
     pub fn clear_caches(&self) {
-        self.engine.clear_caches();
+        self.session.factory.clear_caches();
+        // clear_caches bumped the generation; syncing drops session
+        // entries and resets the counters.
+        self.session.sync_generation();
     }
 
     /// A posterior session over `root`, sharing this session's factory
     /// and shared-cache attachment.
     fn child(&self, root: Spe) -> Model {
-        let mut engine = QueryEngine::new(Arc::clone(self.factory_arc()), root);
-        if let Some(cache) = self.shared_cache() {
-            engine = engine.with_shared_cache(Arc::clone(cache));
-        }
-        Model::from_engine(engine)
-    }
-}
-
-impl From<QueryEngine> for Model {
-    fn from(engine: QueryEngine) -> Model {
-        Model::from_engine(engine)
+        let s = &*self.session;
+        Model::from_session(Session::new(Arc::clone(&s.factory), root, s.shared.clone()))
     }
 }
 
@@ -775,6 +824,170 @@ mod tests {
         let same = model.condition_chain(&[]).unwrap();
         assert!(same.root().same(model.root()));
         assert!(Arc::ptr_eq(model.factory_arc(), same.factory_arc()));
+    }
+
+    #[test]
+    fn matches_direct_logprob() {
+        let model = xy_model();
+        let e = var("X").le(0.0) & var("Y").le(0.0);
+        let direct = model.root().logprob(&e).unwrap();
+        assert_eq!(model.logprob(&e).unwrap(), direct);
+        assert!(approx_eq(model.prob(&e).unwrap(), 0.25, 1e-12));
+    }
+
+    /// The per-event tree walk over the canonical event, with a fresh
+    /// memo — the oracle the batch path must match bit for bit.
+    fn tree_walk(model: &Model, e: &Event) -> Result<f64, SpplError> {
+        model.root().logprob(&e.canonical())
+    }
+
+    #[test]
+    fn batched_equals_individual() {
+        let model = xy_model();
+        let events = vec![var("X").le(0.0), var("Y").le(1.0), var("X").le(-1.0)];
+        let batch = model.logprob_many(&events).unwrap();
+        for (e, lp) in events.iter().zip(&batch) {
+            assert_eq!(lp.to_bits(), tree_walk(&model, e).unwrap().to_bits());
+        }
+        let probs = model.prob_many(&events).unwrap();
+        for (lp, p) in batch.iter().zip(&probs) {
+            assert_eq!(lp.exp().clamp(0.0, 1.0).to_bits(), p.to_bits());
+        }
+    }
+
+    #[test]
+    fn batch_is_bit_identical_cold_and_warm() {
+        let model = xy_model();
+        let events: Vec<Event> = (0..96)
+            .map(|i| var(if i % 2 == 0 { "X" } else { "Y" }).le(f64::from(i) / 16.0))
+            .collect();
+        let cold = model.logprob_many(&events).unwrap();
+        for (e, lp) in events.iter().zip(&cold) {
+            assert_eq!(lp.to_bits(), tree_walk(&model, e).unwrap().to_bits());
+        }
+        let warm = model.logprob_many(&events).unwrap();
+        model.clear_caches();
+        let recomputed = model.logprob_many(&events).unwrap();
+        for ((c, w), r) in cold.iter().zip(&warm).zip(&recomputed) {
+            assert_eq!(c.to_bits(), w.to_bits());
+            assert_eq!(c.to_bits(), r.to_bits());
+        }
+    }
+
+    #[test]
+    fn batch_error_matches_per_event() {
+        let model = xy_model();
+        let mut events: Vec<Event> = (0..16).map(|i| var("X").le(f64::from(i))).collect();
+        events.insert(7, var("Nope").le(0.0));
+        let err = model.logprob_many(&events).unwrap_err();
+        assert_eq!(err, tree_walk(&model, &events[7]).unwrap_err());
+        assert_eq!(err, model.logprob(&events[7]).unwrap_err());
+        // The answers before the failing event were published.
+        let before = model.stats();
+        model.logprob_many(&events[..7]).unwrap();
+        assert_eq!(model.stats().hits, before.hits + 7);
+    }
+
+    #[test]
+    fn all_hit_or_empty_batch_leaves_arena_uncompiled() {
+        let model = xy_model();
+        assert!(model.logprob_many(&[]).unwrap().is_empty());
+        let events = vec![var("X").le(0.5), var("Y").le(-0.5)];
+        for e in &events {
+            model.logprob(e).unwrap();
+        }
+        let hits = model.logprob_many(&events).unwrap();
+        assert_eq!(model.stats().hits, 2);
+        assert!(model.session.arena.get().is_none(), "no miss, no arena");
+        for (e, lp) in events.iter().zip(&hits) {
+            assert_eq!(lp.to_bits(), tree_walk(&model, e).unwrap().to_bits());
+        }
+        model.logprob_many(&[var("X").le(2.0)]).unwrap();
+        assert!(
+            model.session.arena.get().is_some(),
+            "a miss compiles the arena"
+        );
+    }
+
+    #[test]
+    fn condition_chain_matches_conjunction() {
+        let model = xy_model();
+        let (e1, e2) = (var("X").le(0.0), var("Y").le(0.0));
+        let chained = model.condition_chain(&[e1.clone(), e2.clone()]).unwrap();
+        let joint = model.condition(&(e1 & e2)).unwrap();
+        let probe = var("X").le(-1.0) & var("Y").le(-1.0);
+        assert!(approx_eq(
+            chained.prob(&probe).unwrap(),
+            joint.prob(&probe).unwrap(),
+            1e-12
+        ));
+    }
+
+    #[test]
+    fn chain_prefixes_are_cached() {
+        let model = xy_model();
+        let chain = [var("X").le(0.0), var("Y").le(0.0)];
+        let a = model.condition_chain(&chain).unwrap();
+        let before = model.stats();
+        let b = model.condition_chain(&chain).unwrap();
+        let after = model.stats();
+        assert!(a.root().same(b.root()));
+        assert_eq!(after.hits, before.hits + 2);
+        assert_eq!(after.misses, before.misses);
+    }
+
+    #[test]
+    fn zero_probability_chain_errors() {
+        let model = xy_model();
+        let impossible = var("X").pow_int(2).lt(0.0);
+        assert!(matches!(
+            model.condition_chain(&[var("Y").le(0.0), impossible]),
+            Err(SpplError::ZeroProbability { .. })
+        ));
+        // Both steps were evaluated, so both count as misses — the
+        // failing one included.
+        assert_eq!(model.stats().misses, 2);
+    }
+
+    #[test]
+    fn unknown_variable_propagates() {
+        let model = xy_model();
+        assert!(matches!(
+            model.logprob(&var("Nope").le(0.0)),
+            Err(SpplError::UnknownVariable { .. })
+        ));
+    }
+
+    #[test]
+    fn shared_cache_crosses_sessions() {
+        let cache = Arc::new(SharedCache::new(64));
+        let session = |names: [&str; 2]| {
+            let f = Factory::new();
+            let p = f
+                .product(vec![normal(&f, names[0], 0.0), normal(&f, names[1], 0.0)])
+                .unwrap();
+            Model::new(f, p).with_shared_cache(Arc::clone(&cache))
+        };
+        let (a, b) = (session(["X", "Y"]), session(["Y", "X"]));
+        assert_eq!(
+            a.model_digest(),
+            b.model_digest(),
+            "same model content must share one digest across factories"
+        );
+        let e = var("X").le(0.25) & var("Y").le(-0.5);
+        let va = a.logprob(&e).unwrap();
+        let before = cache.stats();
+        let vb = b.logprob(&e).unwrap();
+        let after = cache.stats();
+        assert_eq!(va.to_bits(), vb.to_bits());
+        assert_eq!(
+            after.hits,
+            before.hits + 1,
+            "session b must hit the shared cache"
+        );
+        // Session b recorded a session-level miss but never touched its
+        // factory's evaluator for the whole query.
+        assert_eq!(b.stats().misses, 1);
     }
 
     #[test]

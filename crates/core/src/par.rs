@@ -1,5 +1,7 @@
-//! Shared scaffolding for parallel symbolic operations (`par_condition`,
-//! `par_constrain`, and the translator's branch fan-out).
+//! Shared scaffolding for the explicit-pool parallel symbolic operations
+//! ([`par_condition_in`](crate::condition::par_condition_in),
+//! [`par_constrain_in`](crate::density::par_constrain_in), and the
+//! translator's branch fan-out), plus the process-wide [`global_pool`].
 //!
 //! The closure theorem (Thm. 4.1, Lst. 6) makes the per-child recursions
 //! at `Sum` and `Product` nodes independent subproblems: each child's
@@ -20,8 +22,6 @@ use std::sync::OnceLock;
 
 use scoped_threadpool::Pool;
 
-use crate::engine::global_pool;
-
 /// Work-size cutoff: a fan-out point with fewer independent subproblems
 /// than this stays on the calling thread. Scheduling a scoped job costs
 /// on the order of a channel send plus a wakeup (~µs), while a narrow
@@ -31,47 +31,33 @@ use crate::engine::global_pool;
 /// bar immediately.
 pub(crate) const PAR_MIN_WIDTH: usize = 16;
 
-/// Worker-thread name prefix set by the vendored pool
-/// (`crates/vendor/threadpool`); used to detect re-entry.
-const POOL_THREAD_PREFIX: &str = "scoped-pool-";
-
-/// True when the calling thread is itself a scoped-pool worker. The
-/// env-gated entry points consult this so a plain `condition` call made
-/// *inside* a pool job (e.g. from a translator branch worker) degrades
-/// to sequential instead of deadlocking on a nested scope.
-pub(crate) fn on_pool_worker() -> bool {
-    std::thread::current()
-        .name()
-        .is_some_and(|n| n.starts_with(POOL_THREAD_PREFIX))
-}
-
-/// Whether `SPPL_PAR_SYMBOLIC` opts the plain (non-`par_`) symbolic
-/// entry points into the global pool. Read once per process, like
-/// `SPPL_THREADS`: `1`/any non-empty value other than `0` enables.
-fn env_opt_in() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| {
-        std::env::var("SPPL_PAR_SYMBOLIC").is_ok_and(|v| {
-            let v = v.trim();
-            !v.is_empty() && v != "0"
+/// The [`global_pool`] thread count: `SPPL_THREADS` when set to a positive
+/// integer, otherwise the machine's available parallelism (one when even
+/// that is unknown).
+pub fn default_threads() -> usize {
+    std::env::var("SPPL_THREADS")
+        .ok()
+        .and_then(|s| s.trim().parse::<usize>().ok())
+        .filter(|&n| n >= 1)
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
         })
-    })
 }
 
-/// The pool the *plain* symbolic entry points should fan out over, or
-/// `None` to stay sequential. `Some` only when `SPPL_PAR_SYMBOLIC` is
-/// set, the global pool has more than one worker, and the calling
-/// thread is not itself a pool worker (re-entering the pool from one of
-/// its own jobs would deadlock). Exposed publicly so downstream layers
-/// (the translator) apply the same opt-in without re-reading the
-/// environment.
-pub fn symbolic_pool() -> Option<&'static Pool> {
-    if env_opt_in() && !on_pool_worker() {
-        let pool = global_pool();
-        (pool.thread_count() > 1).then_some(pool)
-    } else {
-        None
-    }
+/// A process-wide pool sized by [`default_threads`] at first use, for
+/// benchmarks and servers that want one shared set of workers to pass to
+/// the `par_*_in` operations or to submit their own scoped work to.
+///
+/// **Do not open a scope on this pool (or pass it to a `par_*_in`
+/// operation) from inside a job already running on it**: the inner scope
+/// would block its worker waiting for chunks only the occupied workers
+/// could run — with all workers blocked the process deadlocks (the
+/// vendored pool does not support nested scopes).
+pub fn global_pool() -> &'static Pool {
+    static POOL: OnceLock<Pool> = OnceLock::new();
+    POOL.get_or_init(|| Pool::new(default_threads().min(u32::MAX as usize) as u32))
 }
 
 /// Parallelism context threaded through the symbolic recursions: either
@@ -94,15 +80,6 @@ impl<'p> ParCtx<'p> {
     pub(crate) fn with_pool(pool: &'p Pool) -> ParCtx<'p> {
         ParCtx {
             pool: (pool.thread_count() > 1).then_some(pool),
-        }
-    }
-
-    /// The context for the plain entry points: [`symbolic_pool`]'s
-    /// verdict on the `SPPL_PAR_SYMBOLIC` opt-in.
-    pub(crate) fn env_default() -> ParCtx<'static> {
-        match symbolic_pool() {
-            Some(pool) => ParCtx::with_pool(pool),
-            None => ParCtx::seq(),
         }
     }
 
@@ -193,15 +170,8 @@ mod tests {
     }
 
     #[test]
-    fn pool_workers_are_detected_by_name() {
-        assert!(!on_pool_worker());
-        let pool = Pool::new(1);
-        let mut seen = false;
-        pool.scoped(|scope| {
-            scope.execute(|| {
-                seen = on_pool_worker();
-            });
-        });
-        assert!(seen, "jobs must observe that they run on a pool worker");
+    fn default_threads_is_positive() {
+        assert!(default_threads() >= 1);
+        assert!(global_pool().thread_count() >= 1);
     }
 }

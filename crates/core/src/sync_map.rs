@@ -1,4 +1,4 @@
-//! A sharded, lock-based concurrent hash map for the factory and engine
+//! A sharded, lock-based concurrent hash map for the factory and session
 //! memo tables.
 //!
 //! The inference memo tables used to live behind `RefCell`s, which made
@@ -19,7 +19,7 @@ use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use crate::digest::stable_hash64;
 
 /// Shard count: enough to make contention unlikely at the batch widths
-/// the engine fans out (tens of threads), small enough to keep `len`/
+/// sessions fan out (tens of threads), small enough to keep `len`/
 /// `clear` sweeps cheap.
 const SHARDS: usize = 16;
 

@@ -15,7 +15,7 @@ const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = {
     assert_send_sync::<Spe>();
     assert_send_sync::<Factory>();
-    assert_send_sync::<QueryEngine>();
+    assert_send_sync::<Model>();
     assert_send_sync::<SharedCache>();
     assert_send_sync::<Event>();
     assert_send_sync::<SpplError>();
@@ -53,10 +53,10 @@ fn build_model(f: &Factory) -> Spe {
     .unwrap()
 }
 
-fn engine() -> QueryEngine {
+fn engine() -> Model {
     let f = Factory::new();
     let m = build_model(&f);
-    QueryEngine::new(f, m)
+    Model::new(f, m)
 }
 
 /// A wide batch of distinct events mixing conjunctions, disjunctions, and
@@ -250,11 +250,11 @@ fn conditioning_races_queries_without_deadlock() {
 #[test]
 fn shared_cache_concurrent_engines_stay_consistent() {
     let cache = Arc::new(SharedCache::new(256));
-    let engines: Vec<Arc<QueryEngine>> = (0..3)
+    let engines: Vec<Arc<Model>> = (0..3)
         .map(|_| {
             let f = Factory::new();
             let m = build_model(&f);
-            Arc::new(QueryEngine::new(f, m).with_shared_cache(Arc::clone(&cache)))
+            Arc::new(Model::new(f, m).with_shared_cache(Arc::clone(&cache)))
         })
         .collect();
     let events = batch(64);
@@ -287,7 +287,7 @@ fn shared_cache_concurrent_engines_stay_consistent() {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel symbolic conditioning (par_condition / par_constrain).
+// Parallel symbolic conditioning (par_condition_in / par_constrain_in).
 // ---------------------------------------------------------------------------
 
 /// A mixture wide enough to cross the parallel fan-out cutoff (16), so
@@ -387,7 +387,7 @@ fn par_constrain_bit_identical_to_sequential_across_pool_sizes() {
     }
 }
 
-/// `Factory::clear_caches` racing `par_condition` must neither deadlock
+/// `Factory::clear_caches` racing `par_condition_in` must neither deadlock
 /// nor perturb an answer: the memo tables are pure caches, so a clear
 /// mid-fan-out only costs recomputation. Every posterior must intern to
 /// the same physical node as the quiescent reference.

@@ -1,4 +1,4 @@
-//! Cache invariants of the [`QueryEngine`]: repeated queries are
+//! Cache invariants of the [`Model`] session: repeated queries are
 //! bit-identical hits, canonicalization folds structurally equivalent
 //! events onto one entry, invalidation is tied to the factory's
 //! `clear_caches`, and a batch counts and fills every cache layer exactly
@@ -15,13 +15,13 @@ fn normal(f: &Factory, name: &str, mu: f64) -> Spe {
     )
 }
 
-/// X ⊗ Y engine (independent standard normals).
-fn engine() -> QueryEngine {
+/// X ⊗ Y session (independent standard normals).
+fn engine() -> Model {
     let f = Factory::new();
     let p = f
         .product(vec![normal(&f, "X", 0.0), normal(&f, "Y", 0.0)])
         .unwrap();
-    QueryEngine::new(f, p)
+    Model::new(f, p)
 }
 
 fn le(name: &str, v: f64) -> Event {
@@ -49,7 +49,7 @@ fn repeated_condition_is_a_hit_returning_the_same_node() {
     let p1 = engine.condition(&e).unwrap();
     let p2 = engine.condition(&e).unwrap();
     assert!(
-        p1.same(&p2),
+        p1.root().same(p2.root()),
         "cached posterior must be the same physical node"
     );
     let s = engine.stats();
@@ -132,7 +132,7 @@ fn batched_stats_account_every_lookup() {
 
 /// A session over X ⊗ Y sharing `cache`, with `pre` queried into its own
 /// memo and `shared` queried into the cache by a sibling session only.
-fn primed(cache: &Arc<SharedCache>, pre: &[Event], shared: &[Event]) -> QueryEngine {
+fn primed(cache: &Arc<SharedCache>, pre: &[Event], shared: &[Event]) -> Model {
     let sibling = engine().with_shared_cache(Arc::clone(cache));
     for e in shared {
         sibling.logprob(e).unwrap();

@@ -17,9 +17,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use sppl_core::condition::{condition, par_condition_in};
-use sppl_core::engine::global_pool;
 use sppl_core::event::Event;
-use sppl_core::par::symbolic_pool;
 use sppl_core::spe::{Factory, Node, Spe};
 use sppl_core::transform::Transform;
 use sppl_core::var::Var;
@@ -48,31 +46,22 @@ use crate::diagnostics::{LangError, Span};
 /// variables, non-constant distribution parameters, or inference failures
 /// (e.g. a `condition` with probability zero).
 pub fn translate(factory: &Factory, program: &Program) -> Result<Spe, LangError> {
-    translate_with(factory, program, symbolic_pool())
+    translate_with(factory, program, None)
 }
 
-/// [`translate`] over the process-global pool: sibling `if`/`switch`
+/// [`translate`] over a caller-supplied pool: sibling `if`/`switch`
 /// branches translate concurrently and `condition` statements fan out
 /// across the expression's mixture components. The result is
 /// bit-identical to [`translate`]'s — branches are joined in source
 /// order and mixtures are rebuilt in the factory's canonical order, so
-/// parallelism changes wall-clock time only.
+/// parallelism changes wall-clock time only. A single-worker pool
+/// degrades to the sequential walk.
 ///
 /// # Errors
 ///
 /// Same conditions as [`translate`]; when several branches fail, the
 /// error of the earliest (source-order) failing branch is reported,
 /// exactly as in the sequential walk.
-pub fn par_translate(factory: &Factory, program: &Program) -> Result<Spe, LangError> {
-    par_translate_in(factory, program, global_pool())
-}
-
-/// [`par_translate`] over a caller-supplied pool. A single-worker pool
-/// degrades to the sequential walk.
-///
-/// # Errors
-///
-/// Same conditions as [`translate`].
 pub fn par_translate_in(
     factory: &Factory,
     program: &Program,
@@ -344,8 +333,7 @@ impl<'f> Translator<'f> {
             // (the `(IfElse)` premises share no mutable data), so each
             // can translate on its own worker. Jobs run with `pool:
             // None`: a nested `Pool::scoped` on the same pool would
-            // deadlock, and the env-gated plain entry points detect
-            // pool workers by thread name and stay sequential too.
+            // deadlock.
             Some(pool) if branches.len() >= 2 && pool.thread_count() > 1 => {
                 let this = &*self;
                 let mut slots: Vec<Option<BranchOutcome>> = Vec::with_capacity(branches.len());

@@ -51,7 +51,7 @@ impl ModelSource {
     }
 
     /// Compiles the program into a ready-to-query [`Model`] session
-    /// (its own factory and memoized engine).
+    /// (its own factory and query caches).
     ///
     /// # Errors
     ///

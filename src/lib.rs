@@ -75,17 +75,16 @@
 //! | legacy | session-first |
 //! |---|---|
 //! | `let f = Factory::new(); let spe = compile(&f, src)?` | `let m = Model::compile(src)?` |
-//! | `spe.prob(&e)` / `QueryEngine::new(f, spe).prob(&e)` | `m.prob(&e)` |
+//! | `spe.prob(&e)` | `m.prob(&e)` |
 //! | `condition(&f, &spe, &e)` → bare `Spe` | `m.condition(&e)` → queryable `Model` |
 //! | `constrain(&f, &spe, &obs)` → bare `Spe` | `m.constrain(&obs)` → queryable `Model` |
 //! | `Event::and(vec![Event::le(Transform::id(Var::new("X")), 1.0), …])` | `var("X").le(1.0) & …` |
-//! | rebuild engine per posterior, re-attach `SharedCache` | automatic: posteriors inherit both |
+//! | re-attach `SharedCache` per posterior | automatic: posteriors inherit it |
 //!
 //! Hand-built expressions still work: construct nodes with a
 //! [`Factory`](sppl_core::Factory) and wrap them with
 //! [`Model::new`](sppl_core::Model::new) (the factory may be shared, as
-//! an `Arc`). The engine layer ([`QueryEngine`](sppl_core::QueryEngine))
-//! stays public for code that wants explicit pool plumbing.
+//! an `Arc`).
 //!
 //! # Crate map
 //!

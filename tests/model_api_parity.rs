@@ -1,21 +1,24 @@
 //! API-parity suite: every [`Model`] query must be **bit-identical** to
-//! the legacy `Factory`/`QueryEngine`/free-function path on the paper's
-//! models — the session-first surface is a re-packaging, not a
-//! re-implementation. Also pins the redesign's headline guarantees:
-//! posteriors share the parent's factory pointer-identically, and a
-//! conditioning chain keeps serving (and filling) the parent's
-//! [`SharedCache`].
+//! the free-function path (`Factory` + bare `Spe`) on the paper's
+//! models — the session surface is a re-packaging, not a
+//! re-implementation — and the explicit-pool fan-outs (`par_*_in`) must
+//! be bit-identical to the sequential walk. Also pins the session's
+//! headline guarantees: posteriors share the parent's factory
+//! pointer-identically, and a conditioning chain keeps serving (and
+//! filling) the parent's [`SharedCache`].
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sppl::models::{hmm, indian_gpa};
+use sppl::core::{par_condition_in, par_constrain_in};
+use sppl::lang::par_translate_in;
+use sppl::models::{fairness, hmm, indian_gpa, psi_suite, rare_event};
 use sppl::prelude::*;
 
 mod common;
-use common::{build_event, build_source, lit_specs, var_spec};
+use common::{build_event, build_source, grid, lit_specs, var_spec};
 
 /// The Fig. 2 evidence, in DSL form.
 fn gpa_evidence() -> Event {
@@ -48,7 +51,7 @@ fn indian_gpa_model_matches_legacy_path_bit_for_bit() {
     let spe = compile(&factory, &source).expect("compiles");
 
     // Legacy: hand-threaded (Factory, Spe) pair plus a separate engine.
-    let legacy = QueryEngine::new(Arc::clone(&factory), spe.clone());
+    let legacy = Model::new(Arc::clone(&factory), spe.clone());
 
     // Session-first.
     let model = Model::new(factory, spe);
@@ -122,7 +125,7 @@ fn hmm_smoothing_matches_legacy_path_bit_for_bit() {
     // Legacy: constrain through the free function, query through an
     // engine built by hand over the posterior.
     let legacy_posterior = constrain(&factory, &spe, &observations).expect("positive density");
-    let legacy = QueryEngine::new(Arc::clone(&factory), legacy_posterior);
+    let legacy = Model::new(Arc::clone(&factory), legacy_posterior);
 
     // Session-first: constrain returns the posterior session directly.
     let model = Model::new(factory, spe);
@@ -171,7 +174,7 @@ fn independently_compiled_session_agrees_bit_for_bit() {
     let source = indian_gpa::model().source;
     let factory = Factory::new();
     let spe = compile(&factory, &source).expect("compiles");
-    let legacy = QueryEngine::new(factory, spe);
+    let legacy = Model::new(factory, spe);
     let model = Model::compile(&source).expect("compiles");
     assert_eq!(legacy.model_digest(), model.model_digest());
     for q in gpa_queries() {
@@ -187,7 +190,7 @@ fn independently_compiled_session_agrees_bit_for_bit() {
     let legacy_post = legacy.condition(&gpa_evidence()).unwrap();
     let model_post = model.condition(&gpa_evidence()).unwrap();
     assert_eq!(
-        legacy_post.digest(),
+        legacy_post.root().digest(),
         model_post.root().digest(),
         "posterior content must be digest-identical across compiles"
     );
@@ -273,9 +276,19 @@ fn posterior_queries_reuse_parent_factory_node_memos() {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel symbolic conditioning: par_* must be bit-identical to the
-// sequential walk — parallelism changes wall-clock time, never an answer.
+// Parallel symbolic operations: the explicit-pool `par_*_in` fan-outs must
+// be bit-identical to the sequential walk — parallelism changes wall-clock
+// time, never an answer.
 // ---------------------------------------------------------------------------
+
+/// [`par_condition_in`] on a session's root, as a posterior session over
+/// the same factory. The event is canonicalized first, as
+/// [`Model::condition`] does, so both paths condition on one expression.
+fn par_condition_model(model: &Model, pool: &Pool, event: &Event) -> Model {
+    let posterior = par_condition_in(model.factory(), model.root(), &event.canonical(), pool)
+        .expect("positive probability");
+    Model::new(Arc::clone(model.factory_arc()), posterior)
+}
 
 #[test]
 fn par_condition_matches_sequential_bit_for_bit_across_thread_counts() {
@@ -294,7 +307,7 @@ fn par_condition_matches_sequential_bit_for_bit_across_thread_counts() {
     for threads in [1u32, 2, 4] {
         let pool = Pool::new(threads);
         let par = Model::compile(&source).expect("compiles");
-        let par_post = par.par_condition_in(&pool, &evidence).unwrap();
+        let par_post = par_condition_model(&par, &pool, &evidence);
         assert_eq!(
             seq_post.model_digest(),
             par_post.model_digest(),
@@ -308,7 +321,10 @@ fn par_condition_matches_sequential_bit_for_bit_across_thread_counts() {
             );
         }
 
-        let par_chained = par.par_condition_chain_in(&pool, &chain).unwrap();
+        // A chain stays sequential; each step fans out internally.
+        let par_chained = chain
+            .iter()
+            .fold(par.clone(), |m, e| par_condition_model(&m, &pool, e));
         assert_eq!(seq_chained.model_digest(), par_chained.model_digest());
         for q in gpa_queries() {
             assert_eq!(
@@ -319,20 +335,11 @@ fn par_condition_matches_sequential_bit_for_bit_across_thread_counts() {
         }
     }
 
-    // Global-pool conveniences agree too (same factory as `par`, so this
-    // also pins that par and seq entry points share one memo).
-    let both = Model::compile(&source).expect("compiles");
-    let a = both.condition(&evidence).unwrap();
-    let b = both.par_condition(&evidence).unwrap();
-    assert!(
-        a.root().same(b.root()),
-        "par must converge on the memoized posterior"
-    );
-    assert!(both
-        .condition_chain(&chain)
-        .unwrap()
+    // In one factory, the fan-out converges on the memoized posterior.
+    let pool = Pool::new(2);
+    assert!(seq_post
         .root()
-        .same(both.par_condition_chain(&chain).unwrap().root()));
+        .same(par_condition_model(&seq, &pool, &evidence).root()));
 }
 
 #[test]
@@ -352,9 +359,11 @@ fn hmm_par_constrain_matches_sequential_bit_for_bit_across_thread_counts() {
     for threads in [1u32, 2, 4] {
         let pool = Pool::new(threads);
         let par = Model::compile(&source).expect("compiles");
-        let par_post = par
-            .par_constrain_in(&pool, &observations)
-            .expect("positive density");
+        let par_post = Model::new(
+            Arc::clone(par.factory_arc()),
+            par_constrain_in(par.factory(), par.root(), &observations, &pool)
+                .expect("positive density"),
+        );
         assert_eq!(seq_post.model_digest(), par_post.model_digest());
         let answers = par_post.logprob_many(&batch).unwrap();
         for (i, (r, a)) in reference.iter().zip(&answers).enumerate() {
@@ -366,24 +375,175 @@ fn hmm_par_constrain_matches_sequential_bit_for_bit_across_thread_counts() {
         }
     }
 
-    // Same-factory convenience: par_constrain lands on the memoized
-    // posterior pointer-identically.
-    assert!(seq
-        .par_constrain(&observations)
-        .unwrap()
-        .root()
-        .same(seq_post.root()));
+    // In one factory, the fan-out lands on the memoized posterior
+    // pointer-identically.
+    let pool = Pool::new(2);
+    assert!(
+        par_constrain_in(seq.factory(), seq.root(), &observations, &pool)
+            .unwrap()
+            .same(seq_post.root())
+    );
+}
+
+/// Evidence for one paper program: an event to condition on, or an
+/// assignment to constrain on.
+enum Evidence {
+    Event(Event),
+    Observe(Assignment),
+}
+
+/// A paper program with its evidence and posterior queries.
+struct PaperCase {
+    name: String,
+    source: String,
+    evidence: Evidence,
+    queries: Vec<Event>,
+}
+
+impl PaperCase {
+    fn new(name: &str, source: String, evidence: Evidence, queries: Vec<Event>) -> PaperCase {
+        PaperCase {
+            name: name.to_string(),
+            source,
+            evidence,
+            queries,
+        }
+    }
+}
+
+/// Every program behind the paper's figures and tables: Indian GPA
+/// (Fig. 2), the hierarchical HMM (Fig. 3), the Fig. 8 chain network,
+/// the fifteen fairness tasks (Table 2), and the PSI suite (Table 4), at
+/// test sizes.
+fn paper_cases() -> Vec<PaperCase> {
+    let hmm_n = 10;
+    let trace = hmm::simulate_trace(&mut StdRng::seed_from_u64(4242), hmm_n);
+    let mut hmm_queries = hmm::smoothing_queries(hmm_n);
+    hmm_queries.extend(hmm::pairwise_queries(hmm_n));
+    let chain_n = 20;
+    let state = |t: usize| var(Var::indexed("S", t).name()).eq(1.0);
+    let mut cases = vec![
+        PaperCase::new(
+            "indian_gpa",
+            indian_gpa::model().source,
+            Evidence::Event(gpa_evidence()),
+            gpa_queries(),
+        ),
+        PaperCase::new(
+            "hierarchical_hmm",
+            hmm::hierarchical_hmm(hmm_n).source,
+            Evidence::Observe(hmm::observation_assignment(&trace.x, &trace.y)),
+            hmm_queries,
+        ),
+        PaperCase::new(
+            "fig8_chain",
+            rare_event::chain_network(chain_n).source,
+            Evidence::Event(rare_event::all_ones_event(8)),
+            (0..chain_n)
+                .map(state)
+                .chain([rare_event::all_ones_event(13)])
+                .collect(),
+        ),
+        PaperCase::new(
+            "digit_recognition",
+            psi_suite::digit_recognition(16).source,
+            Evidence::Observe(psi_suite::digit_dataset(0, 3, 16)),
+            (0..10).map(psi_suite::digit_query).collect(),
+        ),
+        PaperCase::new(
+            "trueskill",
+            psi_suite::trueskill().source,
+            Evidence::Observe(psi_suite::trueskill_dataset(9)),
+            (0..10).map(psi_suite::trueskill_query).collect(),
+        ),
+        PaperCase::new(
+            "clinical_trial",
+            psi_suite::clinical_trial(10, 10).source,
+            Evidence::Observe(psi_suite::clinical_trial_dataset(1, 10, 10, 0.8, 0.3)),
+            vec![psi_suite::clinical_trial_query()],
+        ),
+        PaperCase::new(
+            "student_interviews",
+            psi_suite::student_interviews(2).source,
+            Evidence::Observe(psi_suite::student_interviews_dataset(0, 2)),
+            vec![psi_suite::student_interviews_query()],
+        ),
+        PaperCase::new(
+            "markov_switching",
+            psi_suite::markov_switching(20).source,
+            Evidence::Observe(psi_suite::markov_switching_dataset(0, 20)),
+            vec![psi_suite::markov_switching_query(20)],
+        ),
+    ];
+    for constraint in psi_suite::gamma_constraints() {
+        cases.push(PaperCase::new(
+            "gamma_transforms",
+            psi_suite::gamma_transforms().source,
+            Evidence::Event(constraint),
+            vec![psi_suite::gamma_query()],
+        ));
+    }
+    for task in fairness::all_tasks() {
+        cases.push(PaperCase::new(
+            &task.name,
+            task.model.source,
+            Evidence::Event(fairness::minority() & fairness::qualified()),
+            vec![fairness::hired()],
+        ));
+    }
+    cases
+}
+
+/// Translates `case` in a fresh factory and conditions (or constrains)
+/// it on its evidence — sequentially without a pool, else through
+/// `par_translate_in` and `par_condition_in`/`par_constrain_in`. Returns
+/// the prior and posterior digests and the posterior answers' bits.
+fn run_case(case: &PaperCase, pool: Option<&Pool>) -> (ModelDigest, ModelDigest, Vec<u64>) {
+    let f = Factory::new();
+    let program = parse(&case.source).expect("parses");
+    let prior = match pool {
+        Some(pool) => par_translate_in(&f, &program, pool),
+        None => translate(&f, &program),
+    }
+    .expect("translates");
+    let posterior = match (&case.evidence, pool) {
+        (Evidence::Event(e), Some(pool)) => par_condition_in(&f, &prior, e, pool),
+        (Evidence::Event(e), None) => condition(&f, &prior, e),
+        (Evidence::Observe(a), Some(pool)) => par_constrain_in(&f, &prior, a, pool),
+        (Evidence::Observe(a), None) => constrain(&f, &prior, a),
+    }
+    .expect("positive evidence");
+    let answers = case
+        .queries
+        .iter()
+        .map(|q| f.logprob(&posterior, q).expect("query").to_bits())
+        .collect();
+    (prior.digest(), posterior.digest(), answers)
 }
 
 #[test]
-fn digest_keyed_cond_cache_serves_duplicate_models_when_dedup_is_off() {
+fn paper_programs_fan_out_bit_identically_across_pool_sizes() {
+    for case in paper_cases() {
+        let want = run_case(&case, None);
+        for threads in [1u32, 2, 4] {
+            let pool = Pool::new(threads);
+            assert_eq!(
+                run_case(&case, Some(&pool)),
+                want,
+                "{} diverged from the sequential walk at {threads} threads",
+                case.name
+            );
+        }
+    }
+}
+
+#[test]
+fn dedup_off_twins_condition_to_digest_equal_posteriors() {
     use sppl::core::spe::FactoryOptions;
 
-    // With dedup ON, two compiles of one source intern to one pointer
-    // and the pointer-keyed cond cache already short-circuits; the
-    // digest-keyed companion only has observable work to do when equal
-    // content lives at distinct addresses — exactly the dedup-off
-    // configuration.
+    // With dedup off, two compiles of one source are content-identical
+    // but pointer-distinct, so each is conditioned on its own; the two
+    // posteriors must still agree in content and in every answer.
     let factory = Arc::new(Factory::with_options(FactoryOptions {
         dedup: false,
         factorize: true,
@@ -397,23 +557,15 @@ fn digest_keyed_cond_cache_serves_duplicate_models_when_dedup_is_off() {
 
     let evidence = gpa_evidence();
     let pa = condition(&factory, &a, &evidence).unwrap();
-    let before = factory.cond_cache_stats();
     let pb = condition(&factory, &b, &evidence).unwrap();
-    let after = factory.cond_cache_stats();
-    assert!(
-        after.hits > before.hits,
-        "conditioning the twin must be served by the digest-keyed fast \
-         path ({} hits before, {} after)",
-        before.hits,
-        after.hits
-    );
-    assert!(
-        pa.same(&pb),
-        "the digest fast path must hand back the one already-computed posterior"
+    assert_eq!(
+        pa.digest(),
+        pb.digest(),
+        "posteriors must be content-identical"
     );
 
-    let legacy = QueryEngine::new(Arc::clone(&factory), pa);
-    let twin = QueryEngine::new(factory, pb);
+    let legacy = Model::new(Arc::clone(&factory), pa);
+    let twin = Model::new(factory, pb);
     for q in gpa_queries() {
         assert_eq!(
             legacy.logprob(&q).unwrap().to_bits(),
@@ -426,27 +578,28 @@ fn digest_keyed_cond_cache_serves_duplicate_models_when_dedup_is_off() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random mixed models: the parallel conditioning walk agrees with
-    /// the sequential one bit for bit — posterior digests and query
-    /// answers — across separately compiled copies.
+    /// Random mixed models: the parallel conditioning and constraining
+    /// walks agree with the sequential ones bit for bit — posterior
+    /// digests and query answers, or the error — across separately
+    /// compiled copies.
     #[test]
     fn par_condition_agrees_with_sequential_on_random_models(
         spec in prop::collection::vec(var_spec(), 2..6),
         shapes in (0..3usize, 0..3usize),
         query_lits in lit_specs(),
         evidence_lits in lit_specs(),
+        observed in lit_specs(),
     ) {
         let (source, discrete) = build_source(&spec);
         let query = build_event(&discrete, shapes.0, &query_lits);
         let evidence = build_event(&discrete, shapes.1, &evidence_lits);
 
         let seq = Model::compile(&source).expect("generated program compiles");
+        let par = Model::compile(&source).expect("generated program compiles");
+        let pool = Pool::new(3);
         if seq.prob(&evidence).unwrap() > 1e-9 {
-            let pool = Pool::new(3);
-            let par = Model::compile(&source).expect("generated program compiles");
-
             let seq_post = seq.condition(&evidence).unwrap();
-            let par_post = par.par_condition_in(&pool, &evidence).unwrap();
+            let par_post = par_condition_model(&par, &pool, &evidence);
             prop_assert_eq!(
                 seq_post.model_digest(), par_post.model_digest(),
                 "posterior digests diverged\n{}", source
@@ -457,6 +610,38 @@ proptest! {
                 qs.to_bits(), qp.to_bits(),
                 "posterior logprob diverged: {} vs {}\n{}", qs, qp, source
             );
+        }
+
+        // Observe discrete variables at 0/1 and continuous ones at a grid
+        // point; zero-density assignments must fail identically.
+        let assignment: Assignment = observed
+            .iter()
+            .map(|&(pick, sel)| {
+                let i = pick % discrete.len();
+                let value = if discrete[i] {
+                    f64::from(u8::from(sel % 2 == 0))
+                } else {
+                    grid(sel) * 8.0 - 4.0
+                };
+                (Var::new(format!("V{i}")), Outcome::Real(value))
+            })
+            .collect();
+        let seq_post = constrain(seq.factory(), seq.root(), &assignment);
+        let par_post = par_constrain_in(par.factory(), par.root(), &assignment, &pool);
+        match (seq_post, par_post) {
+            (Ok(s), Ok(p)) => {
+                prop_assert_eq!(s.digest(), p.digest(), "constrained digests diverged\n{}", source);
+                let qs = seq.factory().logprob(&s, &query);
+                let qp = par.factory().logprob(&p, &query);
+                prop_assert_eq!(
+                    qs.map(f64::to_bits), qp.map(f64::to_bits),
+                    "constrained logprob diverged\n{}", source
+                );
+            }
+            (s, p) => prop_assert_eq!(
+                s.map(|_| ()), p.map(|_| ()),
+                "constrain outcome diverged\n{}", source
+            ),
         }
     }
 }

@@ -49,7 +49,6 @@ const SNAPSHOT: &[&str] = &[
     "prelude::Outcome",
     "prelude::OutcomeSet",
     "prelude::Pool",
-    "prelude::QueryEngine",
     "prelude::RealSet",
     "prelude::Sample",
     "prelude::Scalar",
