@@ -4,7 +4,7 @@
 //! into an [`ArenaModel`](sppl_core::ArenaModel) and answers the same
 //! cold batch through the per-event tree walk ([`Spe::logprob`] on the
 //! canonical event, a fresh memo per event), through the arena, and
-//! through the session's cold `logprob_many` (memo probes, then the
+//! through the session's cold `logprob_many` (cache probes, then the
 //! misses on the arena). The answers must be bit-identical (that is the
 //! arena's contract, enforced here with `bits_match`), and the table
 //! reports per-event latency plus the arena's speedup over the tree

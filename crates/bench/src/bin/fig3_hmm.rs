@@ -122,7 +122,7 @@ fn main() {
 
     // Cold batch inference: the smoothing marginals plus the pairwise
     // persistence queries, answered per event by the memoized tree walk
-    // and then by `logprob_many` (memo probes, then the misses in one
+    // and then by `logprob_many` (cache probes, then the misses in one
     // pass over the arena-compiled posterior). Results must agree bit
     // for bit.
     let batch: Vec<Event> = {

@@ -1,11 +1,12 @@
 //! A bounded, sharded, persistable LRU cache for whole-query results —
-//! the cross-session (and, via snapshots, cross-*process*) layer above
-//! each [`Model`](crate::model::Model)'s own memo.
+//! the one result cache every [`Model`](crate::model::Model) answers
+//! from: a private one per session by default, or one attached and
+//! shared across sessions (and, via snapshots, across *processes*).
 //!
 //! A serving deployment answers queries against the same compiled model
-//! from many sessions: each session has its own memo (and possibly its
-//! own [`Factory`](crate::spe::Factory)), but the hot query working
-//! set is shared. The [`SharedCache`] is one process-wide table keyed by
+//! from many sessions: each session may have its own
+//! [`Factory`](crate::spe::Factory), but the hot query working set is
+//! shared. An attached [`SharedCache`] is one process-wide table keyed by
 //! `(`[`ModelDigest`]`, `[`Fingerprint`]`)` —
 //! [`Spe::digest`](crate::spe::Spe::digest) is a deep, *versioned*
 //! content digest (see [`crate::digest`]), so sessions over separately
@@ -17,18 +18,15 @@
 //!
 //! The table is split into a fixed number of independent shards
 //! (currently 16) selected by key hash, each an exact LRU under its own
-//! mutex. Recency bookkeeping makes
-//! even `get` a write, so a single-mutex design would serialize a
-//! many-core *cold* fan-out (sessions promote shared hits into their own
-//! memos, so only each session's first sight of a key lands here — but a
-//! cold start is exactly when every lookup is a first sight). With
-//! sharding, concurrent lookups contend only when their keys collide on
-//! a shard. Global recency across shards is *approximate*: when the
-//! cache is over capacity, a round-robin eviction clock walks the shards
-//! and evicts the victim shard's least-recently-used entry, so eviction
-//! pressure spreads evenly and an entry's survival time approximates
-//! global LRU without any cross-shard ordering. Within one shard,
-//! eviction order is exact LRU.
+//! mutex. Recency bookkeeping makes even `get` a write, and every
+//! session lookup lands here, so a single-mutex design would serialize
+//! many cores querying one model. With sharding, concurrent lookups
+//! contend only when their keys collide on a shard. Global recency
+//! across shards is *approximate*: when the cache is over capacity, a
+//! round-robin eviction clock walks the shards and evicts the victim
+//! shard's least-recently-used entry, so eviction pressure spreads evenly
+//! and an entry's survival time approximates global LRU without any
+//! cross-shard ordering. Within one shard, eviction order is exact LRU.
 //!
 //! [`CacheStats`] returned by [`SharedCache::stats`] (and the eviction
 //! counter) are **aggregated across all shards** — one hit/miss/entry
@@ -231,12 +229,12 @@ impl Shard {
 
     /// Evicts this shard's least-recently-used entry, if any.
     fn pop_lru(&mut self) -> bool {
-        if let Some((&oldest_tick, &oldest_key)) = self.order.iter().next() {
-            self.order.remove(&oldest_tick);
-            self.map.remove(&oldest_key);
-            true
-        } else {
-            false
+        match self.order.pop_first() {
+            Some((_, oldest_key)) => {
+                self.map.remove(&oldest_key);
+                true
+            }
+            None => false,
         }
     }
 }
@@ -265,6 +263,10 @@ pub struct SharedCache {
 }
 
 impl SharedCache {
+    /// The entry bound of a session's private result cache and of
+    /// `sppl-serve`'s default shared cache.
+    pub const DEFAULT_CAPACITY: usize = 1 << 16;
+
     /// A cache bounded to `capacity` entries (at least one).
     ///
     /// # Panics

@@ -22,17 +22,18 @@
 //! * [`mod@condition`] — the `condition` algorithm (Lst. 6, Thm. 4.1);
 //!   [`par_condition_in`] and [`par_constrain_in`] fan its wide nodes out
 //!   over a caller-supplied pool, bit-identically (sized by
-//!   [`default_threads`], or shared via [`global_pool`]),
+//!   [`default_threads`]),
 //! * [`arena`] — the [`ArenaModel`] batch evaluator: digest-keyed
 //!   compilation of a model into a flat, topologically-ordered arena
 //!   with struct-of-arrays batch evaluation, bit-identical to [`prob`],
 //! * [`model`] — the [`Model`] session, the one way to query a compiled
-//!   SPE: `Arc<Factory>` + root + memoized, canonicalized-event query
-//!   caches (single and batched `logprob`, conditioning chains, cache
-//!   statistics) in one `Clone + Send + Sync` object whose
+//!   SPE: `Arc<Factory>` + root + one bounded result cache keyed by
+//!   canonicalized events (single and batched `logprob`), conditioning
+//!   chains, and cache statistics in one `Clone + Send + Sync` object whose
 //!   `condition`/`constrain` return posteriors as first-class models
 //!   (the public face of Thm. 4.1's closure property),
-//! * [`cache`] — the cross-session [`SharedCache`] with snapshots, and
+//! * [`cache`] — the [`SharedCache`] every session answers from
+//!   (private, or attached and shared across sessions) with snapshots, and
 //!   the [`CacheStats`] shape every cache layer reports,
 //! * [`density`] — the lexicographic density semantics `P₀` (Lst. 1d) and
 //!   `condition0`/`constrain` for measure-zero events (Lst. 7),
@@ -103,7 +104,7 @@ pub use digest::{Fingerprint, ModelDigest, DIGEST_VERSION};
 pub use error::SpplError;
 pub use event::{var, Event, Scalar};
 pub use model::Model;
-pub use par::{default_threads, global_pool};
+pub use par::default_threads;
 pub use spe::{Factory, Spe};
 pub use transform::Transform;
 pub use var::Var;
@@ -123,7 +124,7 @@ pub mod prelude {
     pub use crate::error::SpplError;
     pub use crate::event::{var, Event, Scalar};
     pub use crate::model::Model;
-    pub use crate::par::{default_threads, global_pool};
+    pub use crate::par::default_threads;
     pub use crate::simulate::Sample;
     pub use crate::spe::{Factory, Spe};
     pub use crate::transform::Transform;

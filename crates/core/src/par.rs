@@ -1,7 +1,8 @@
 //! Shared scaffolding for the explicit-pool parallel symbolic operations
 //! ([`par_condition_in`](crate::condition::par_condition_in),
 //! [`par_constrain_in`](crate::density::par_constrain_in), and the
-//! translator's branch fan-out), plus the process-wide [`global_pool`].
+//! translator's branch fan-out), plus [`default_threads`] for sizing
+//! their pools.
 //!
 //! The closure theorem (Thm. 4.1, Lst. 6) makes the per-child recursions
 //! at `Sum` and `Product` nodes independent subproblems: each child's
@@ -18,8 +19,6 @@
 //! `Factory::sum` sees bit-identical inputs — parallelism never changes
 //! an answer, only wall-clock time.
 
-use std::sync::OnceLock;
-
 use scoped_threadpool::Pool;
 
 /// Work-size cutoff: a fan-out point with fewer independent subproblems
@@ -31,9 +30,9 @@ use scoped_threadpool::Pool;
 /// bar immediately.
 pub(crate) const PAR_MIN_WIDTH: usize = 16;
 
-/// The [`global_pool`] thread count: `SPPL_THREADS` when set to a positive
-/// integer, otherwise the machine's available parallelism (one when even
-/// that is unknown).
+/// A default pool size: `SPPL_THREADS` when set to a positive integer,
+/// otherwise the machine's available parallelism (one when even that is
+/// unknown).
 pub fn default_threads() -> usize {
     std::env::var("SPPL_THREADS")
         .ok()
@@ -44,20 +43,6 @@ pub fn default_threads() -> usize {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
         })
-}
-
-/// A process-wide pool sized by [`default_threads`] at first use, for
-/// benchmarks and servers that want one shared set of workers to pass to
-/// the `par_*_in` operations or to submit their own scoped work to.
-///
-/// **Do not open a scope on this pool (or pass it to a `par_*_in`
-/// operation) from inside a job already running on it**: the inner scope
-/// would block its worker waiting for chunks only the occupied workers
-/// could run — with all workers blocked the process deadlocks (the
-/// vendored pool does not support nested scopes).
-pub fn global_pool() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
-    POOL.get_or_init(|| Pool::new(default_threads().min(u32::MAX as usize) as u32))
 }
 
 /// Parallelism context threaded through the symbolic recursions: either
@@ -172,6 +157,5 @@ mod tests {
     #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
-        assert!(global_pool().thread_count() >= 1);
     }
 }

@@ -1,8 +1,7 @@
 //! Concurrency guarantees of the core: `Send + Sync` bounds hold at
 //! compile time, racing batches agree bit-for-bit with the per-event
 //! tree walk, the intern table keeps its pointer-identity invariant under
-//! racing builders, and cache-generation invalidation never serves a
-//! pre-clear entry across a racing `clear_caches`.
+//! racing builders, and a racing `clear_caches` never changes an answer.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -157,8 +156,7 @@ fn concurrent_interning_preserves_pointer_identity() {
     }
 }
 
-/// Regression test for generation invalidation under races: readers
-/// hammer the engine while a writer repeatedly clears all caches.
+/// Readers hammer the engine while a writer repeatedly clears all caches.
 /// Every answer must stay bit-identical to the reference (no stale or
 /// torn entry may ever be served), and a final quiescent clear must leave
 /// empty statistics.
@@ -189,8 +187,7 @@ fn clear_caches_racing_queries_never_serves_stale_entries() {
                 }
             });
         }
-        // Clear through both entry points, repeatedly, while the readers
-        // run. Each clear bumps the factory generation.
+        // Clear through both entry points, repeatedly, while readers run.
         let clearer = {
             let eng = Arc::clone(&eng);
             let stop = &stop;
@@ -209,7 +206,6 @@ fn clear_caches_racing_queries_never_serves_stale_entries() {
         clearer.join().unwrap();
     });
 
-    assert!(eng.factory().cache_generation() >= 200);
     // Quiescent clear: everything must read as empty...
     eng.clear_caches();
     assert_eq!(eng.stats(), CacheStats::default());

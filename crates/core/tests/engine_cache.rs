@@ -1,8 +1,8 @@
 //! Cache invariants of the [`Model`] session: repeated queries are
 //! bit-identical hits, canonicalization folds structurally equivalent
-//! events onto one entry, invalidation is tied to the factory's
-//! `clear_caches`, and a batch counts and fills every cache layer exactly
-//! as the per-event loop does.
+//! events onto one entry, `clear_caches` empties the session, a batch
+//! counts and fills the session's one result cache exactly as the
+//! per-event loop does, and that cache never outgrows its bound.
 
 use std::sync::Arc;
 
@@ -101,23 +101,6 @@ fn clear_caches_resets_stats_and_entries() {
 }
 
 #[test]
-fn factory_clear_invalidates_engine_entries() {
-    let engine = engine();
-    let e = le("Y", 0.5);
-    engine.logprob(&e).unwrap();
-    assert_eq!(engine.stats().entries, 1);
-
-    // Clearing through the *factory* (not the engine) must still drop the
-    // engine's derived entries: stats read as empty immediately, and the
-    // next query is a fresh miss.
-    engine.factory().clear_caches();
-    assert_eq!(engine.stats(), CacheStats::default());
-    engine.logprob(&e).unwrap();
-    let s = engine.stats();
-    assert_eq!((s.hits, s.misses, s.entries), (0, 1, 1));
-}
-
-#[test]
 fn batched_stats_account_every_lookup() {
     let engine = engine();
     let queries: Vec<Event> = (0..8).map(|i| le("X", f64::from(i) / 4.0)).collect();
@@ -130,8 +113,8 @@ fn batched_stats_account_every_lookup() {
     assert!((s.hit_rate() - 0.5).abs() < 1e-12);
 }
 
-/// A session over X ⊗ Y sharing `cache`, with `pre` queried into its own
-/// memo and `shared` queried into the cache by a sibling session only.
+/// A session over X ⊗ Y sharing `cache`, with `pre` queried by this
+/// session and `shared` queried into the cache by a sibling session only.
 fn primed(cache: &Arc<SharedCache>, pre: &[Event], shared: &[Event]) -> Model {
     let sibling = engine().with_shared_cache(Arc::clone(cache));
     for e in shared {
@@ -177,8 +160,35 @@ fn batch_memo_semantics_match_the_per_event_loop() {
     }
     assert_eq!(batched.stats(), looped.stats());
     assert_eq!(batch_cache.stats(), loop_cache.stats());
-    // Hits: 3 on pre-cached events, 3 on repeats of this batch's misses.
-    // Misses: 2 while priming, then 2 shared hits and 2 evaluations.
+    // Hits: 3 on pre-cached events, 3 on events the sibling cached, 2 on
+    // repeats of this batch's misses. Misses: 2 while priming, then 2
+    // evaluations. Entries: the cache's 2 + 2 + 2.
     let s = batched.stats();
-    assert_eq!((s.hits, s.misses, s.entries), (3 + 3, 2 + 2 + 2, 6));
+    assert_eq!((s.hits, s.misses, s.entries), (3 + 3 + 2, 2 + 2, 6));
+}
+
+#[test]
+fn result_cache_stays_within_its_bound() {
+    let cache = Arc::new(SharedCache::new(64));
+    let engine = engine().with_shared_cache(Arc::clone(&cache));
+    let oracle = |e: &Event| engine.root().logprob(&e.canonical()).unwrap();
+    let bounded = |engine: &Model| {
+        assert!(engine.stats().entries <= 64);
+        assert!(cache.stats().entries <= 64);
+    };
+    // 1,000 distinct events: half one at a time, half in batches of 50.
+    for i in 0..500 {
+        let e = le("X", f64::from(i) / 100.0);
+        assert_eq!(engine.logprob(&e).unwrap().to_bits(), oracle(&e).to_bits());
+        bounded(&engine);
+    }
+    let events: Vec<Event> = (0..500).map(|i| le("Y", f64::from(i) / 100.0)).collect();
+    for batch in events.chunks(50) {
+        let got = engine.logprob_many(batch).unwrap();
+        for (g, e) in got.iter().zip(batch) {
+            assert_eq!(g.to_bits(), oracle(e).to_bits());
+        }
+        bounded(&engine);
+    }
+    assert_eq!(engine.stats().misses, 1000);
 }

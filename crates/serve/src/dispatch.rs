@@ -16,7 +16,7 @@
 //!    open becomes the *window leader*: it waits out a short window
 //!    (bounded by `max_batch`), takes everything that accumulated,
 //!    groups it by model, and answers each group of two or more with one
-//!    [`logprob_many`](sppl_core::Model::logprob_many) call: memo and
+//!    [`logprob_many`](sppl_core::Model::logprob_many) call:
 //!    [`SharedCache`] hits first, the misses in one pass over the
 //!    model's [`ArenaModel`](sppl_core::ArenaModel) (the flat vectorized
 //!    evaluator, fed the wide inputs single queries never could).

@@ -68,8 +68,11 @@ use crate::json::Json;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireError {
     /// Machine-readable kind: one of `bad_request`, `compile`,
-    /// `unknown_model`, `query`, `registry_full`, `import`, `internal`
-    /// (all server-sent), or `io` (client-side transport failure).
+    /// `unknown_model`, `query`, `registry_full`, `import`, `internal`,
+    /// `too_large` (all server-sent), or `io` (client-side transport
+    /// failure). `too_large` answers a request line over
+    /// [`MAX_LINE_BYTES`](crate::server::MAX_LINE_BYTES), and the server
+    /// then closes the connection.
     pub kind: String,
     /// Human-readable description.
     pub message: String,

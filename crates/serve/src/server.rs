@@ -11,7 +11,7 @@
 //! without any socket — tests (and in-process embedders) drive it
 //! directly with [`Request`] values or raw lines.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -35,6 +35,15 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 /// How long a handler blocks on a quiet connection before re-checking
 /// the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(100);
+
+/// The longest request line a connection accepts, newline included. A
+/// longer line gets a `too_large` error and the connection closes. The
+/// largest `register` line any test, example, bench or suite workload
+/// sends is about 3 KB (a paper program's source) and the largest
+/// `import` about 0.4 KB; the largest line of any op is a 256-event
+/// `logprob` batch from the suite's `query_batch` workload, about
+/// 0.23 MB. The cap leaves more than 15x headroom over that.
+pub const MAX_LINE_BYTES: usize = 4 << 20;
 
 /// Background snapshot policy: where to rotate, how often, how many
 /// generations to keep.
@@ -83,7 +92,7 @@ impl Default for ServeConfig {
             // workers than concurrent connections serializes clients (and
             // with them, the coalescing opportunities).
             workers: sppl_core::default_threads().max(8),
-            cache_capacity: 1 << 16,
+            cache_capacity: SharedCache::DEFAULT_CAPACITY,
             registry_capacity: 1024,
             batch_window: Duration::from_micros(500),
             max_batch: 64,
@@ -595,9 +604,9 @@ fn worker_loop(state: &ServerState, shutdown: &Shutdown, rx: &Mutex<Receiver<Tcp
     }
 }
 
-/// Speaks the protocol on one connection until EOF, a hard I/O error, or
-/// shutdown. The read timeout bounds how long shutdown waits for a quiet
-/// connection.
+/// Speaks the protocol on one connection until EOF, a hard I/O error, a
+/// line over [`MAX_LINE_BYTES`], or shutdown. The read timeout bounds how
+/// long shutdown waits for a quiet connection.
 fn handle_connection(
     state: &ServerState,
     shutdown: &Shutdown,
@@ -612,8 +621,23 @@ fn handle_connection(
         if shutdown.is_set() {
             return Ok(());
         }
-        match reader.read_line(&mut line) {
+        // Never more than the cap in `line`, however long the client's line.
+        let budget = (MAX_LINE_BYTES - line.len()) as u64;
+        match reader.by_ref().take(budget).read_line(&mut line) {
             Ok(0) => return Ok(()), // EOF
+            Ok(_) if line.len() == MAX_LINE_BYTES && !line.ends_with('\n') => {
+                state.counters.requests.fetch_add(1, Ordering::Relaxed);
+                state.counters.errors.fetch_add(1, Ordering::Relaxed);
+                let error = WireError::new(
+                    "too_large",
+                    format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+                );
+                writer.write_all(Response::Error(error).encode(None).as_bytes())?;
+                writer.write_all(b"\n")?;
+                writer.flush()?;
+                // The rest of the line is never read: close the connection.
+                return writer.shutdown(std::net::Shutdown::Write);
+            }
             Ok(_) => {
                 if !line.trim().is_empty() {
                     let response = state.handle_line(&line);

@@ -15,7 +15,7 @@ use sppl_core::density::Assignment;
 use sppl_core::digest::ModelDigest;
 use sppl_core::prelude::{Outcome, Var};
 use sppl_serve::protocol::{WireEvent, WireOutcome};
-use sppl_serve::server::SnapshotPolicy;
+use sppl_serve::server::{SnapshotPolicy, MAX_LINE_BYTES};
 use sppl_serve::{Client, ServeConfig, Server};
 
 /// The model served in every test: one continuous and one nominal
@@ -230,6 +230,37 @@ fn protocol_errors_come_back_structured() {
     // The connection survives all of that: a good request still works.
     let stats = client.stats().expect("stats after errors");
     assert!(stats.errors >= 6, "every failure above was counted");
+    server.shutdown();
+}
+
+#[test]
+fn over_long_line_gets_too_large_and_the_server_keeps_answering() {
+    let server = start(ServeConfig::default());
+    let addr = server.local_addr();
+
+    // Twice the cap, no newline. The server stops reading at the cap, so
+    // the tail of this write may fail once it hangs up; that is expected.
+    let mut raw = TcpStream::connect(addr).expect("raw connect");
+    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+    let _ = raw.write_all(&vec![b'x'; 2 * MAX_LINE_BYTES]);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("reply");
+    assert!(line.contains("\"ok\":false"), "{line:?}");
+    assert!(line.contains("\"kind\":\"too_large\""), "{line:?}");
+    line.clear();
+    assert!(
+        !matches!(reader.read_line(&mut line), Ok(n) if n > 0),
+        "the connection closes after too_large"
+    );
+
+    // A fresh connection is served normally, bit for bit.
+    let mut client = Client::connect(addr).expect("connect");
+    let (digest, _, _) = client.register(SOURCE).expect("register");
+    let direct = sppl_analyze::compile_model(SOURCE).expect("direct compile");
+    let we = WireEvent::le("X", 0.25);
+    let served = client.logprob(digest, &we).expect("logprob");
+    let want = direct.logprob(&we.to_event().unwrap()).unwrap();
+    assert_eq!(served.to_bits(), want.to_bits());
     server.shutdown();
 }
 

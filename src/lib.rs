@@ -15,9 +15,10 @@
 //!   statically analyzed, queryable session (see [`analyze`]),
 //! * [`Model::prob`](sppl_core::Model::prob) /
 //!   [`logprob`](sppl_core::Model::logprob) — exact probability of any
-//!   event over (possibly transformed) program variables, memoized;
+//!   event over (possibly transformed) program variables, cached in one
+//!   bounded result cache per session;
 //!   [`logprob_many`](sppl_core::Model::logprob_many) answers a batch's
-//!   memo hits first and its misses in one pass over the
+//!   cache hits first and its misses in one pass over the
 //!   [arena-compiled](sppl_core::Model::compile_arena) model, with
 //!   bit-identical results,
 //! * [`Model::condition`](sppl_core::Model::condition) /
@@ -28,8 +29,8 @@
 //!   sampling,
 //! * [`var()`] and the `&`/`|`/`!` operators — a fluent event DSL:
 //!   `var("GPA").le(4.0) & var("Nationality").eq("India")`,
-//! * [`SharedCache`](sppl_core::SharedCache) — a bounded cross-session
-//!   LRU serving repeated queries across separately compiled sessions.
+//! * [`SharedCache`](sppl_core::SharedCache) — the bounded LRU result
+//!   cache, attachable across separately compiled sessions.
 //!
 //! # Quickstart
 //!

@@ -67,7 +67,6 @@ const SNAPSHOT: &[&str] = &[
     "prelude::condition",
     "prelude::constrain",
     "prelude::default_threads",
-    "prelude::global_pool",
     "prelude::graph_stats",
     "prelude::parse",
     "prelude::physical_node_count",
