@@ -94,17 +94,17 @@ impl Walker {
 
     /// Use of a name: constants, random variables, then use-before-define.
     fn eval_ident(&mut self, name: &str, span: Span) -> AbsValue {
-        if let Some(c) = self.env.consts.get(name).cloned() {
+        if let Some(c) = self.env.const_of(name).cloned() {
             self.mark_used(name);
             return match c {
                 ConstVal::Known(v) => AbsValue::Const(v),
                 ConstVal::Unknown => AbsValue::Top,
             };
         }
-        if self.env.rvs.contains(name) || self.env.maybe_rvs.contains(name) {
+        if self.env.may_be_rv(name) {
             return AbsValue::Rv(Transform::id(Var::new(name)));
         }
-        if self.env.arrays.contains_key(name) {
+        if self.env.array_size(name).is_some() {
             self.diag(
                 LintCode::UseBeforeDefine,
                 span,
@@ -122,13 +122,10 @@ impl Walker {
 
     fn eval_index(&mut self, recv: &Expr, idx: &Expr, span: Span) -> AbsValue {
         if let Expr::Ident(name, _) = recv {
-            if self.env.arrays.contains_key(name) {
+            if self.env.array_size(name).is_some() {
                 return match self.element_name(name, idx, span) {
                     Some(element) => {
-                        if self.env.rvs.contains(&element)
-                            || self.env.maybe_rvs.contains(&element)
-                            || self.env.havoc_arrays.contains(name)
-                        {
+                        if self.env.may_be_rv(&element) || self.env.is_havoc_array(name) {
                             AbsValue::Rv(Transform::id(Var::new(&element)))
                         } else {
                             self.diag(
@@ -169,7 +166,7 @@ impl Walker {
     /// declared bounds. `None` when the index is unknown (the enclosing
     /// array is marked havoc so element accesses stay permissive).
     pub(crate) fn element_name(&mut self, name: &str, idx: &Expr, span: Span) -> Option<String> {
-        let size = *self.env.arrays.get(name)?;
+        let size = self.env.array_size(name)?;
         match self.eval(idx) {
             AbsValue::Const(Value::Num(n)) if n.fract() == 0.0 => {
                 let i = n as i64;
@@ -186,7 +183,7 @@ impl Walker {
                 Some(format!("{name}[{i}]"))
             }
             _ => {
-                self.env.havoc_arrays.insert(name.to_string());
+                self.env.mark_havoc_array(name);
                 None
             }
         }

@@ -12,14 +12,14 @@ use std::collections::HashMap;
 use sppl_core::event::Event;
 use sppl_sets::OutcomeSet;
 
-use crate::env::Env;
+use crate::env::{Delta, Env};
 
 /// Rewrites derived variables to their base-variable transforms so that
 /// satisfiability can be decided against base supports only.
 pub(crate) fn resolve_event(e: &Event, env: &Env) -> Event {
     let mut out = e.clone();
     for v in e.vars() {
-        if let Some((_, t)) = env.derived.get(v.name()) {
+        if let Some((_, t)) = env.derived_of(v.name()) {
             out = out.substitute(&v, t);
         }
     }
@@ -73,7 +73,7 @@ pub(crate) fn refine(env: &mut Env, e: &Event) {
             if let Some(var) = t.the_var() {
                 let name = var.name().to_string();
                 let narrowed = env.support_of(&name).intersection(&t.preimage_full(v));
-                env.supports.insert(name, narrowed);
+                env.set_support(&name, narrowed);
             }
         }
         Event::And(children) => {
@@ -85,28 +85,29 @@ pub(crate) fn refine(env: &mut Env, e: &Event) {
             if children.is_empty() {
                 return;
             }
-            // Each disjunct refines a copy; the result per variable is
-            // the union over disjuncts.
-            let snapshots: Vec<Env> = children
+            // Each disjunct refines the environment inside its own
+            // journal frame; the result per variable is the union over
+            // disjuncts.
+            let deltas: Vec<Delta> = children
                 .iter()
                 .map(|c| {
-                    let mut child_env = env.clone();
-                    refine(&mut child_env, c);
-                    child_env
+                    env.mark();
+                    refine(env, c);
+                    env.rollback()
                 })
                 .collect();
             for var in e.vars() {
                 let name = var.name();
                 let mut acc: Option<OutcomeSet> = None;
-                for snap in &snapshots {
-                    let s = snap.support_of(name);
+                for delta in &deltas {
+                    let s = env.support_in(delta, name);
                     acc = Some(match acc {
                         None => s,
                         Some(a) => a.union(&s),
                     });
                 }
                 if let Some(set) = acc {
-                    env.supports.insert(name.to_string(), set);
+                    env.set_support(name, set);
                 }
             }
         }

@@ -13,6 +13,16 @@
 //! translator never evaluates the body of a probability-zero branch, and
 //! "dead" is decided on symbolic sets, so the runtime guard probability
 //! is exactly zero).
+//!
+//! Branches are walked in place on the one [`Env`], never on copies:
+//! each may-live body runs inside a journal frame ([`Env::mark`] →
+//! refine, bind, walk → [`Env::rollback`]), which restores the parent
+//! state and hands back the branch's delta; [`Env::join`] then merges
+//! the deltas. This relies on the journal invariant that every
+//! environment write goes through an `Env` method that logs it. A
+//! branch costs what its body writes, not the size of the environment,
+//! so analyzing an unrolled program (an HMM of length n) is near-linear
+//! in n.
 
 use std::collections::HashMap;
 
@@ -22,7 +32,7 @@ use sppl_lang::diagnostics::{Diagnostic, LintCode, Severity, Span};
 use sppl_lang::translate::Value;
 use sppl_sets::OutcomeSet;
 
-use crate::env::{ConstVal, Env};
+use crate::env::{ConstVal, Delta, Env};
 use crate::eval::{case_event, static_case_matches, AbsValue};
 use crate::sat;
 
@@ -195,10 +205,7 @@ impl Walker {
                     Some(_) => return, // negative size: translator error
                     None => None,
                 };
-                if size.is_none() {
-                    self.env.havoc_arrays.insert(name.clone());
-                }
-                self.env.arrays.insert(name.clone(), size);
+                self.env.declare_array(name, size);
                 return;
             }
         }
@@ -207,7 +214,7 @@ impl Walker {
         };
         match self.eval(expr) {
             AbsValue::Const(v) => {
-                if self.env.rvs.contains(&name) {
+                if self.env.is_rv(&name) {
                     self.diag(
                         LintCode::Redefinition,
                         span,
@@ -216,10 +223,10 @@ impl Walker {
                     return;
                 }
                 self.register_def(&name, span);
-                self.env.consts.insert(name, ConstVal::Known(v));
+                self.env.set_const(&name, ConstVal::Known(v));
             }
             AbsValue::Top => {
-                if self.env.rvs.contains(&name) {
+                if self.env.is_rv(&name) {
                     self.diag(
                         LintCode::Redefinition,
                         span,
@@ -228,7 +235,7 @@ impl Walker {
                     return;
                 }
                 self.register_def(&name, span);
-                self.env.consts.insert(name, ConstVal::Unknown);
+                self.env.set_const(&name, ConstVal::Unknown);
             }
             AbsValue::Rv(t) => {
                 if self.check_fresh(&name, span) {
@@ -273,7 +280,7 @@ impl Walker {
     /// The translator's `check_fresh` as a lint; `true` means the name
     /// is definitely taken (diagnostic emitted, skip the definition).
     fn check_fresh(&mut self, name: &str, span: Span) -> bool {
-        if self.env.rvs.contains(name) {
+        if self.env.is_rv(name) {
             self.diag(
                 LintCode::Redefinition,
                 span,
@@ -281,7 +288,7 @@ impl Walker {
             );
             return true;
         }
-        if let Some(ConstVal::Known(_)) = self.env.consts.get(name) {
+        if let Some(ConstVal::Known(_)) = self.env.const_of(name) {
             self.diag(
                 LintCode::Redefinition,
                 span,
@@ -298,7 +305,7 @@ impl Walker {
         match target {
             Target::Var(name) => Some(name.clone()),
             Target::Indexed(name, idx) => {
-                if !self.env.arrays.contains_key(name) {
+                if self.env.array_size(name).is_none() {
                     self.diag(
                         LintCode::UseBeforeDefine,
                         span,
@@ -396,11 +403,9 @@ impl Walker {
                 // Static dispatch: only the matching case runs.
                 for case in &vals {
                     if static_case_matches(&v, case) {
-                        self.env
-                            .consts
-                            .insert(binder.to_string(), ConstVal::Known(case.clone()));
+                        self.env.set_const(binder, ConstVal::Known(case.clone()));
                         self.exec_all(body);
-                        self.env.consts.remove(binder);
+                        self.env.remove_const(binder);
                         return;
                     }
                 }
@@ -453,28 +458,27 @@ impl Walker {
             return;
         }
         self.fuel -= count;
-        let saved = self.env.consts.get(var).cloned();
+        let saved = self.env.const_of(var).cloned();
         for i in lo..hi {
             self.env
-                .consts
-                .insert(var.to_string(), ConstVal::Known(Value::Num(i as f64)));
+                .set_const(var, ConstVal::Known(Value::Num(i as f64)));
             self.exec_all(body);
         }
         match saved {
-            Some(v) => self.env.consts.insert(var.to_string(), v),
-            None => self.env.consts.remove(var),
-        };
+            Some(v) => self.env.set_const(var, v),
+            None => self.env.remove_const(var),
+        }
     }
 
     /// Shared machinery for `if`/`elif`/`else` and desugared `switch`:
-    /// decide liveness per branch, walk the may-live bodies in refined
-    /// child environments, and join the results.
+    /// decide liveness per branch, walk each may-live body in place
+    /// inside a journal frame (refine, bind, walk, roll back), and join
+    /// the branches' deltas into the restored parent environment.
     fn walk_branches(&mut self, plans: Vec<BranchPlan>, span: Span) {
-        let parent = self.env.clone();
-        let mut survivors: Vec<Env> = Vec::new();
+        let mut survivors: Vec<Delta> = Vec::new();
         for plan in plans {
             let live = match &plan.effective {
-                Some(e) => sat::may_sat(e, &parent),
+                Some(e) => sat::may_sat(e, &self.env),
                 None => true,
             };
             if let Some((key, removable)) = plan.vote {
@@ -483,13 +487,13 @@ impl Walker {
             if !live {
                 continue;
             }
-            self.env = parent.clone();
+            self.env.mark();
             let definitely_entered = matches!(&plan.effective, Some(e) if event_is_always(e));
             if let Some(e) = &plan.effective {
                 sat::refine(&mut self.env, e);
             }
             if let Some((name, value)) = &plan.binding {
-                self.env.consts.insert((*name).to_string(), value.clone());
+                self.env.set_const(name, value.clone());
             }
             if !definitely_entered {
                 self.branch_depth += 1;
@@ -499,9 +503,9 @@ impl Walker {
                 self.branch_depth -= 1;
             }
             if let Some((name, _)) = &plan.binding {
-                self.env.consts.remove(*name);
+                self.env.remove_const(name);
             }
-            survivors.push(std::mem::take(&mut self.env));
+            survivors.push(self.env.rollback());
         }
         if survivors.is_empty() {
             self.diag(
@@ -510,57 +514,27 @@ impl Walker {
                 "all branches are statically dead (every guard is disjoint \
                  from the inferred support)",
             );
-            self.env = parent;
             return;
         }
-        self.env = Env::join(&parent, survivors);
+        self.env.join(survivors);
     }
 
     /// Walks a body whose iteration structure is unknown: one quiet pass
-    /// for votes and use tracking, then conservative damage to the
-    /// environment (constants it wrote become unknown, variables it
-    /// defined become maybe-defined, arrays it touched become havoc).
+    /// inside a journal frame for votes and use tracking, then
+    /// conservative damage to the restored environment (constants it
+    /// wrote become unknown, variables it defined become maybe-defined,
+    /// arrays it touched become havoc; see [`Env::havoc`]).
     fn havoc_block(&mut self, body: &[Command], binders: &[&str]) {
-        let saved = self.env.clone();
+        self.env.mark();
         let was_quiet = self.quiet;
         self.quiet = true;
         for b in binders {
-            self.env.consts.insert((*b).to_string(), ConstVal::Unknown);
+            self.env.set_const(b, ConstVal::Unknown);
         }
         self.exec_all(body);
         self.quiet = was_quiet;
-        let pass = std::mem::replace(&mut self.env, saved);
-        for (name, val) in &pass.consts {
-            if binders.contains(&name.as_str()) {
-                continue;
-            }
-            if self.env.consts.get(name) != Some(val) {
-                self.env.consts.insert(name.clone(), ConstVal::Unknown);
-            }
-        }
-        for (name, size) in &pass.arrays {
-            match self.env.arrays.get(name) {
-                Some(existing) if existing == size => {}
-                Some(_) => {
-                    self.env.arrays.insert(name.clone(), None);
-                    self.env.havoc_arrays.insert(name.clone());
-                }
-                None => {
-                    self.env.arrays.insert(name.clone(), *size);
-                    self.env.havoc_arrays.insert(name.clone());
-                }
-            }
-        }
-        self.env.havoc_arrays.extend(pass.havoc_arrays);
-        for name in pass.rvs {
-            if !self.env.rvs.contains(&name) {
-                self.env.maybe_rvs.insert(name);
-            }
-        }
-        self.env.maybe_rvs.extend(pass.maybe_rvs);
-        // Supports of pre-existing variables keep their pre-loop values:
-        // conditioning inside the body only narrows them, so the saved
-        // sets remain over-approximations.
+        let pass = self.env.rollback();
+        self.env.havoc(pass, binders);
     }
 }
 

@@ -22,7 +22,7 @@ fn builtin_programs() -> Vec<(String, String)> {
     let mut add = |name: &str, source: String| out.push((format!("<{name}>"), source));
     let gpa = indian_gpa::model();
     add("fig2/indian_gpa", gpa.source.clone());
-    add("fig3/hmm", hmm::hierarchical_hmm(5).source.clone());
+    add("fig3/hmm", hmm::hierarchical_hmm(100).source.clone());
     add(
         "fig8/rare_events",
         rare_event::chain_network(6).source.clone(),

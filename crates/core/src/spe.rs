@@ -598,18 +598,25 @@ impl Factory {
     /// A product of independent factors. Nested products are flattened and
     /// a singleton product collapses to its child.
     ///
+    /// The scope is built from the largest factor: its scope (for a nested
+    /// product, already the disjoint union of its own factors) is cloned,
+    /// and only the other factors' variables are inserted. Extending a
+    /// product one factor at a time — as unrolled programs do — therefore
+    /// inserts each new variable once instead of re-inserting the whole
+    /// accumulated scope.
+    ///
     /// # Errors
     ///
     /// Returns [`SpplError::IllFormed`] when the factor list is empty or
     /// scopes overlap (C3).
     pub fn product(&self, children: Vec<Spe>) -> Result<Spe, SpplError> {
         let mut flat: Vec<Spe> = Vec::with_capacity(children.len());
-        for c in children {
+        for c in &children {
             match c.node() {
                 Node::Product {
                     children: inner, ..
                 } => flat.extend(inner.iter().cloned()),
-                _ => flat.push(c),
+                _ => flat.push(c.clone()),
             }
         }
         if flat.is_empty() {
@@ -620,8 +627,14 @@ impl Factory {
         if flat.len() == 1 {
             return Ok(flat.pop().expect("len checked"));
         }
-        let mut scope: BTreeSet<Var> = BTreeSet::new();
-        for c in &flat {
+        let largest = (0..children.len())
+            .max_by_key(|&i| children[i].scope().len())
+            .expect("nonempty");
+        let mut scope = children[largest].scope().clone();
+        for (i, c) in children.iter().enumerate() {
+            if i == largest {
+                continue;
+            }
             for v in c.scope() {
                 if !scope.insert(v.clone()) {
                     return Err(SpplError::IllFormed {
@@ -885,9 +898,47 @@ mod tests {
         let a = normal_leaf(&f, "X");
         let b = normal_leaf(&f, "X");
         assert!(matches!(
-            f.product(vec![a, b]),
+            f.product(vec![a.clone(), b]),
             Err(SpplError::IllFormed { .. })
         ));
+        // The scope is seeded from the largest factor, so check overlaps
+        // both among the smaller factors and against the largest one.
+        let big = f
+            .product(vec![
+                normal_leaf(&f, "A"),
+                normal_leaf(&f, "B"),
+                normal_leaf(&f, "C"),
+            ])
+            .unwrap();
+        let y = normal_leaf(&f, "Y");
+        for factors in [
+            vec![big.clone(), a.clone(), y.clone(), normal_leaf(&f, "X")],
+            vec![a.clone(), y.clone(), big.clone(), normal_leaf(&f, "B")],
+            vec![normal_leaf(&f, "C"), big.clone()],
+        ] {
+            assert!(matches!(
+                f.product(factors),
+                Err(SpplError::IllFormed { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn product_scope_is_the_union_whichever_factor_is_largest() {
+        let f = Factory::new();
+        let big = f
+            .product(vec![
+                normal_leaf(&f, "B"),
+                normal_leaf(&f, "C"),
+                normal_leaf(&f, "D"),
+            ])
+            .unwrap();
+        let leaf = normal_leaf(&f, "A");
+        let p = f.product(vec![big.clone(), leaf.clone()]).unwrap();
+        let q = f.product(vec![leaf, big]).unwrap();
+        assert!(p.same(&q));
+        let names: Vec<&str> = p.scope().iter().map(Var::name).collect();
+        assert_eq!(names, ["A", "B", "C", "D"]);
     }
 
     #[test]

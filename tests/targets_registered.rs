@@ -12,6 +12,7 @@ fn root() -> &'static Path {
 }
 
 const ROOT_SUITES: &[&str] = &[
+    "tests/analyze_builtin_golden.rs",
     "tests/analyze_differential.rs",
     "tests/arena_parity.rs",
     "tests/cache_snapshot.rs",
